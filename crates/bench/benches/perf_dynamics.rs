@@ -77,6 +77,7 @@
 //! core), matching the campaign benches.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use fediscope::census::LiveNetBridge;
 use fediscope_dynamics::scenarios::{
     AdoptionModel, BlocklistImportScenario, CascadeConfig, ChurnConfig, ChurnScenario, Composite,
     DefederationCascadeScenario, ImportConfig, InactionScenario, PolicyRolloutScenario,
@@ -84,7 +85,7 @@ use fediscope_dynamics::scenarios::{
 };
 use fediscope_dynamics::{
     Arm, DynamicsConfig, DynamicsEngine, DynamicsTrace, EngineBuilder, Experiment,
-    ExperimentResult, LiveNetBridge, NetworkState, SharedColumns,
+    ExperimentResult, NetworkState, SharedColumns,
 };
 use fediscope_simnet::SimNet;
 use fediscope_synthgen::{ScenarioSeeds, SeedKnobs, World, WorldConfig};

@@ -224,55 +224,53 @@ impl MrfPipeline {
     /// presence disables any `HellthreadPolicy` later in the chain, which
     /// the pipeline implements by skipping those policies).
     pub fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> FilterOutcome {
-        let mut current = activity;
         let mut trace = Vec::with_capacity(self.policies.len());
+        let verdict = self.walk(ctx, activity, |policy, rejected| {
+            trace.push(PolicyTrace {
+                policy: policy.kind(),
+                decision: rejected.map_or(PolicyDecision::Passed, |reason| {
+                    PolicyDecision::Rejected(reason.clone())
+                }),
+            })
+        });
+        FilterOutcome { verdict, trace }
+    }
+
+    /// Runs `activity` through the chain without recording a trace.
+    ///
+    /// The same walk as [`filter`](Self::filter) — same skip mask, same
+    /// short-circuit on first rejection — but allocation free, for bulk
+    /// simulation where only the verdict matters (e.g. materialising
+    /// millions of posts). The `filter_fast_agrees_with_filter` proptest
+    /// in [`super::proptests`] pins the equivalence across the catalog.
+    pub fn filter_fast(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
+        self.walk(ctx, activity, |_, _| {})
+    }
+
+    /// The one owning walk over the chain: skip mask, rewrites threaded
+    /// stage to stage, short-circuit on the first rejection. `record`
+    /// sees every stage that ran, in order, with the rejection reason
+    /// for the stage that stopped the chain.
+    fn walk(
+        &self,
+        ctx: &PolicyContext<'_>,
+        activity: Activity,
+        mut record: impl FnMut(&dyn MrfPolicy, Option<&RejectReason>),
+    ) -> PolicyVerdict {
+        let mut current = activity;
         for (policy, &skip) in self.policies.iter().zip(&self.skip) {
             if skip {
                 continue;
             }
             match policy.filter(ctx, current) {
                 PolicyVerdict::Pass(a) => {
-                    trace.push(PolicyTrace {
-                        policy: policy.kind(),
-                        decision: PolicyDecision::Passed,
-                    });
+                    record(policy.as_ref(), None);
                     current = a;
                 }
                 PolicyVerdict::Reject(reason) => {
-                    trace.push(PolicyTrace {
-                        policy: policy.kind(),
-                        decision: PolicyDecision::Rejected(reason.clone()),
-                    });
-                    return FilterOutcome {
-                        verdict: PolicyVerdict::Reject(reason),
-                        trace,
-                    };
+                    record(policy.as_ref(), Some(&reason));
+                    return PolicyVerdict::Reject(reason);
                 }
-            }
-        }
-        FilterOutcome {
-            verdict: PolicyVerdict::Pass(current),
-            trace,
-        }
-    }
-
-    /// Runs `activity` through the chain without recording a trace.
-    ///
-    /// Identical decision semantics to [`filter`](Self::filter) — same
-    /// skip mask, same short-circuit on first rejection — but allocation
-    /// free, for bulk simulation where only the verdict matters (e.g.
-    /// materialising millions of posts). The traced path stays available
-    /// for explainability. The `filter_fast_agrees_with_filter` proptest
-    /// in [`super::proptests`] pins the equivalence across the catalog.
-    pub fn filter_fast(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        let mut current = activity;
-        for (policy, &skip) in self.policies.iter().zip(&self.skip) {
-            if skip {
-                continue;
-            }
-            match policy.filter(ctx, current) {
-                PolicyVerdict::Pass(a) => current = a,
-                reject @ PolicyVerdict::Reject(_) => return reject,
             }
         }
         PolicyVerdict::Pass(current)

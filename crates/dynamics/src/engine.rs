@@ -39,8 +39,9 @@
 //! same RNG stream, integer counters are multiplied by run length (exact),
 //! and the f64 exposure columns still accumulate one addition per
 //! emission in draw order. The per-post path is retained as
-//! [`MeasureMode::Reference`] (env: `FEDISCOPE_MEASURE=reference`) and
-//! serves as the differential oracle in tests.
+//! [`MeasureMode::Reference`], selected explicitly through
+//! [`DynamicsConfig::measure`], and serves as the differential oracle in
+//! tests and benchmarks.
 //!
 //! [`MrfPipeline::filter_fast_ref`]: fediscope_core::mrf::MrfPipeline::filter_fast_ref
 
@@ -67,7 +68,7 @@ use std::sync::Arc;
 ///
 /// Both produce bit-identical traces; they differ only in cost. The
 /// batched path is the default, the per-post path is the differential
-/// oracle (and an escape hatch, via `FEDISCOPE_MEASURE=reference`).
+/// oracle, reached only by setting [`DynamicsConfig::measure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureMode {
     /// Two-stage sender-majorized batching: draw each sender's emissions
@@ -77,18 +78,6 @@ pub enum MeasureMode {
     /// The original per-post path: every `(receiver, sender)` edge
     /// replays the sender's draws and clones + filters every emission.
     Reference,
-}
-
-impl MeasureMode {
-    /// Resolves the mode from the `FEDISCOPE_MEASURE` environment
-    /// variable: `reference` (case-insensitive) opts into the oracle
-    /// path, anything else — including unset — is [`Self::Batched`].
-    pub fn from_env() -> Self {
-        match std::env::var("FEDISCOPE_MEASURE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => MeasureMode::Reference,
-            _ => MeasureMode::Batched,
-        }
-    }
 }
 
 /// Engine knobs.
@@ -105,8 +94,8 @@ pub struct DynamicsConfig {
     /// Per-sender per-tick emission cap (keeps one giant instance from
     /// dominating a storm).
     pub emission_cap: u64,
-    /// Measurement-phase implementation (default: [`MeasureMode::Batched`],
-    /// overridable at process level with `FEDISCOPE_MEASURE=reference`).
+    /// Measurement-phase implementation (default: [`MeasureMode::Batched`];
+    /// [`MeasureMode::Reference`] is the differential oracle).
     pub measure: MeasureMode,
 }
 
@@ -118,7 +107,7 @@ impl Default for DynamicsConfig {
             tick_len: SNAPSHOT_INTERVAL,
             start: CAMPAIGN_START,
             emission_cap: 64,
-            measure: MeasureMode::from_env(),
+            measure: MeasureMode::Batched,
         }
     }
 }
@@ -277,7 +266,7 @@ impl DynamicsEngine {
 
     /// Attaches an [`EventSink`] that mirrors every applied event (and
     /// scenario-`init` state rewrites, via [`EventSink::sync`]) onto an
-    /// external system — a [`crate::LiveNetBridge`] keeping a live
+    /// external system — `fediscope::census::LiveNetBridge` keeping a live
     /// `SimNet` in step with the engine. The sink never feeds back into
     /// the engine, so the determinism contract is unaffected.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) {
@@ -723,8 +712,8 @@ fn backoff_delay(policy: &RetryPolicy, seed: u64, sender: u32, attempt: u32) -> 
 /// cloning each post individually.
 ///
 /// This is the differential oracle for [`measure_receiver_batched`] —
-/// kept deliberately simple and unbatched. Any run can opt into it with
-/// `FEDISCOPE_MEASURE=reference` ([`MeasureMode::from_env`]).
+/// kept deliberately simple and unbatched. A run opts into it with
+/// `DynamicsConfig { measure: MeasureMode::Reference, .. }`.
 fn measure_receiver_reference(
     state: &NetworkState,
     config: &DynamicsConfig,

@@ -61,7 +61,7 @@ impl Arm {
     }
 
     /// Attaches a per-run [`EventSink`] factory (e.g. a
-    /// [`crate::LiveNetBridge`] over the arm's own `SimNet`). The sink
+    /// `fediscope::census::LiveNetBridge` over the arm's own `SimNet`). The sink
     /// observes, never feeds back, so the determinism contract holds
     /// with or without it.
     pub fn with_sink(

@@ -32,12 +32,12 @@
 //!   plus [`scenarios::Composite`], which multiplexes any of them over
 //!   one timeline (storm + churn + rollout in a single run) with
 //!   deterministic per-sub RNG stream splitting;
-//! * [`LiveNetBridge`] — the dynamics ↔ simnet round-trip: an
-//!   [`EventSink`] that mirrors `GoDown`/`Recover` onto a shared
-//!   [`fediscope_simnet::SimNet`] via `set_failure` and tears follow
-//!   edges down through `InstanceServer::defederate`, so the §3
-//!   crawler can census a *churning* network mid-scenario (the async
-//!   driver lives in the root crate's `fediscope::census`);
+//! * [`EventSink`] — the one-way hook through which the root crate's
+//!   `fediscope::census::LiveNetBridge` mirrors `GoDown`/`Recover` onto
+//!   a shared [`fediscope_simnet::SimNet`] and tears follow edges down,
+//!   so the §3 crawler can census a *churning* network mid-scenario;
+//!   [`CensusCadence`] paces those censuses and [`CensusSnapshot`]
+//!   records each one;
 //! * the **experiment layer** — [`EngineBuilder`] stamps engines from
 //!   one shared `Arc<ScenarioSeeds>`, [`Experiment`]/[`Arm`] run N
 //!   named scenario arms (identical seed, tick budget and world) across
@@ -138,7 +138,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bridge;
+mod census;
 mod delta;
 mod engine;
 mod event;
@@ -150,7 +150,7 @@ mod trace;
 
 pub mod scenarios;
 
-pub use bridge::{BridgeStats, CensusCadence, CensusSnapshot, LiveNetBridge};
+pub use census::{CensusCadence, CensusSnapshot};
 pub use delta::{TickDelta, TraceDelta};
 pub use engine::{DynamicsConfig, DynamicsEngine, EngineBuilder, MeasureMode};
 pub use event::{Event, EventQueue, Scheduled};

@@ -13,7 +13,7 @@ use crate::state::NetworkState;
 
 /// Observes the engine's state transitions.
 ///
-/// Implemented by [`crate::LiveNetBridge`] to keep a shared `SimNet`
+/// Implemented by `fediscope::census::LiveNetBridge` to keep a shared `SimNet`
 /// in step with the simulation; tests implement it to record event
 /// streams.
 pub trait EventSink {

@@ -217,7 +217,8 @@ impl InstanceServer {
         // consume only the verdict), so use the untraced pipeline.
         // Inbound federation (`ingest_remote`) keeps the traced path for
         // explainability.
-        let verdict = self.run_pipeline_fast(&mut st, activity);
+        let verdict =
+            self.with_pipeline(&mut st, |pipeline, ctx| pipeline.filter_fast(ctx, activity));
         match verdict {
             fediscope_core::mrf::PolicyVerdict::Reject(r) => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -253,7 +254,7 @@ impl InstanceServer {
         let origin = activity.origin().clone();
         let local = self.profile.domain.clone();
         st.graph.note_federation(&local, &origin);
-        let outcome = self.run_pipeline(&mut st, activity);
+        let outcome = self.with_pipeline(&mut st, |pipeline, ctx| pipeline.filter(ctx, activity));
         match &outcome.verdict {
             fediscope_core::mrf::PolicyVerdict::Pass(activity) => {
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -296,9 +297,9 @@ impl InstanceServer {
 
     /// Shared setup and accounting around one pipeline invocation: snap a
     /// directory view, build the policy context, run `invoke`, then drain
-    /// its side effects into the stats counter and effect log. The traced
-    /// and untraced entry points below differ only in the `invoke` they
-    /// pass, so any future context or accounting change lands in both.
+    /// its side effects into the stats counter and effect log. `publish`
+    /// (untraced) and `ingest_remote` (traced) differ only in the `invoke`
+    /// they pass, so any future context or accounting change lands in both.
     fn with_pipeline<R>(
         &self,
         st: &mut State,
@@ -318,20 +319,6 @@ impl InstanceServer {
             .fetch_add(effects.len() as u64, Ordering::Relaxed);
         st.effect_log.extend(effects);
         out
-    }
-
-    fn run_pipeline(&self, st: &mut State, activity: Activity) -> FilterOutcome {
-        self.with_pipeline(st, |pipeline, ctx| pipeline.filter(ctx, activity))
-    }
-
-    /// Untraced twin of [`run_pipeline`](Self::run_pipeline) for bulk
-    /// paths that only consume the verdict.
-    fn run_pipeline_fast(
-        &self,
-        st: &mut State,
-        activity: Activity,
-    ) -> fediscope_core::mrf::PolicyVerdict {
-        self.with_pipeline(st, |pipeline, ctx| pipeline.filter_fast(ctx, activity))
     }
 
     fn apply_accepted(&self, st: &mut State, activity: Activity) {

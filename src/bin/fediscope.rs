@@ -19,10 +19,18 @@
 //! fediscope experiment --arms inaction,rollout,import-partial --baseline inaction
 //!                                                   # paired-arm counterfactual with per-tick deltas
 //! ```
+//!
+//! Every subcommand takes `--flag VALUE` pairs. An unknown flag, a flag
+//! without a value or a malformed value is a usage error (exit 2),
+//! reported before any work starts.
 
+use fediscope::dynamics::DynamicsConfig;
 use fediscope::harness;
 use fediscope::prelude::*;
+use serde::Serialize;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ExitCode {
     eprintln!("fediscope — measure content moderation in a (synthetic) fediverse");
@@ -45,59 +53,114 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Every `--flag VALUE` option of every subcommand, parsed once by
+/// [`Flags::parse`]. `None` means the flag was not given.
+#[derive(Default)]
+struct Flags {
+    scale: Option<f64>,
+    post_scale: Option<f64>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    ticks: Option<u64>,
+    census_every: Option<u64>,
+    peer_cap: Option<usize>,
+    arms: Option<String>,
+    baseline: Option<String>,
+    from_shards: Option<String>,
+    out: Option<String>,
+    telemetry_out: Option<String>,
 }
 
-/// `--telemetry-out FILE`: arms the process-global telemetry registry
-/// for the run (disarmed it costs nothing and records nothing) and
-/// returns the path the `RunReport` JSON goes to afterwards.
-fn arm_telemetry(args: &[String]) -> Option<String> {
-    let out = parse_flag(args, "--telemetry-out")?;
-    let telemetry = fediscope_telemetry::Telemetry::global();
-    telemetry.reset();
-    telemetry.arm();
-    Some(out)
-}
-
-/// Snapshots the registry into a [`fediscope_telemetry::RunReport`],
-/// prints the human tables, and writes the JSON to `out`.
-fn write_telemetry(out: &str, label: &str) -> bool {
-    let report = fediscope_telemetry::Telemetry::global().report(label);
-    println!("{}", fediscope::analysis::render_telemetry(&report));
-    match std::fs::write(out, report.to_json() + "\n") {
-        Ok(()) => {
-            eprintln!("telemetry written to {out}");
-            true
+impl Flags {
+    /// Parses `args` as `--flag VALUE` pairs, accepting only the
+    /// space-separated flags in `allowed`; a repeated flag's last value
+    /// wins. The error names the offending flag.
+    fn parse(args: &[String], allowed: &str) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            if !allowed.split(' ').any(|a| a == flag) {
+                return Err(format!("unknown argument '{flag}'"));
+            }
+            let Some(value) = rest.next() else {
+                return Err(format!("{flag} needs a value"));
+            };
+            let text = Some(value.clone());
+            match flag.as_str() {
+                "--scale" => flags.scale = Some(positive(flag, value)?),
+                "--post-scale" => flags.post_scale = Some(positive(flag, value)?),
+                "--seed" => flags.seed = Some(number(flag, value)?),
+                "--threads" => flags.threads = Some(number(flag, value)?),
+                "--ticks" => flags.ticks = Some(number(flag, value)?),
+                "--census-every" => flags.census_every = Some(number(flag, value)?),
+                "--peer-cap" => flags.peer_cap = Some(number(flag, value)?),
+                "--arms" => flags.arms = text,
+                "--baseline" => flags.baseline = text,
+                "--from-shards" => flags.from_shards = text,
+                "--out" => flags.out = text,
+                "--telemetry-out" => flags.telemetry_out = text,
+                other => unreachable!("{other} is in an allowed list but has no parser"),
+            }
         }
+        Ok(flags)
+    }
+
+    /// The paper's world at `--scale` (else `default_scale`), with
+    /// `--post-scale`, `--seed` and `--threads` applied.
+    fn world(&self, default_scale: f64) -> WorldConfig {
+        let mut config = WorldConfig::paper();
+        config.scale = self.scale.unwrap_or(default_scale);
+        if let Some(p) = self.post_scale {
+            config.post_scale = p;
+        }
+        if let Some(n) = self.seed {
+            config.seed = n;
+        }
+        if let Some(w) = self.threads {
+            config.parallelism = fediscope::synthgen::Parallelism(w);
+        }
+        config
+    }
+
+    /// Engine knobs for a run over seeds extracted with `seed`.
+    fn engine(&self, seed: u64) -> DynamicsConfig {
+        DynamicsConfig {
+            seed,
+            ticks: self.ticks.unwrap_or(36),
+            ..DynamicsConfig::default()
+        }
+    }
+}
+
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value '{value}'"))
+}
+
+/// A scale factor: finite and greater than zero.
+fn positive(flag: &str, value: &str) -> Result<f64, String> {
+    match number::<f64>(flag, value)? {
+        v if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!("{flag}: '{value}' is not a positive number")),
+    }
+}
+
+/// Parses `args` against `allowed`, sizes the global rayon pool from
+/// `--threads`, arms telemetry for `--telemetry-out`, and runs
+/// `command`; a parse error is a usage error.
+fn with_flags(args: &[String], allowed: &str, command: impl FnOnce(Flags) -> ExitCode) -> ExitCode {
+    let flags = match Flags::parse(args, allowed) {
+        Ok(flags) => flags,
         Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            false
+            eprintln!("error: {e}");
+            return usage();
         }
-    }
-}
-
-/// Shared `--scale/--seed/--threads/--ticks` handling for the
-/// dynamics-layer subcommands (`dynamics` and `experiment`). The full
-/// 10 K-instance population is overkill for a trace you read in a
-/// terminal; default to a tenth and let `--scale` override. One pool
-/// sizes every parallel stage — sharded world generation, the engine's
-/// measurement fan-out, and experiment arms (all bit-identical at any
-/// worker count).
-fn world_flags(args: &[String]) -> (WorldConfig, u64) {
-    let mut config = WorldConfig::paper();
-    config.scale = 0.1;
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
-    if let Some(w) = parse_flag(args, "--threads").and_then(|v| v.parse::<usize>().ok()) {
-        config.parallelism = fediscope::synthgen::Parallelism(w);
+    };
+    // One pool sizes every parallel stage — sharded world generation,
+    // the engine's measurement fan-out, and experiment arms (all
+    // bit-identical at any worker count).
+    if let Some(w) = flags.threads {
         if let Err(e) = rayon::ThreadPoolBuilder::new()
             .num_threads(w)
             .build_global()
@@ -105,26 +168,73 @@ fn world_flags(args: &[String]) -> (WorldConfig, u64) {
             eprintln!("warning: --threads not applied — {e}");
         }
     }
-    let ticks: u64 = parse_flag(args, "--ticks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(36);
-    (config, ticks)
+    // Disarmed, the registry costs nothing and records nothing.
+    if flags.telemetry_out.is_some() {
+        let telemetry = fediscope_telemetry::Telemetry::global();
+        telemetry.reset();
+        telemetry.arm();
+    }
+    command(flags)
 }
+
+/// Ends an engine run: the telemetry [`fediscope_telemetry::RunReport`]
+/// (tables to stdout, JSON to `--telemetry-out`), then `body` as
+/// pretty JSON to `--out`.
+fn finish(flags: &Flags, label: &str, what: &str, body: &impl Serialize) -> ExitCode {
+    if let Some(out) = &flags.telemetry_out {
+        let report = fediscope_telemetry::Telemetry::global().report(label);
+        println!("{}", fediscope::analysis::render_telemetry(&report));
+        if !write(out, "telemetry", report.to_json()) {
+            return ExitCode::FAILURE;
+        }
+    }
+    let Some(out) = &flags.out else {
+        return ExitCode::SUCCESS;
+    };
+    let written = match serde_json::to_string_pretty(body) {
+        Ok(body) => write(out, what, body),
+        Err(e) => {
+            eprintln!("failed to serialize {what}: {e}");
+            false
+        }
+    };
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Writes `body` plus a trailing newline to `out`; false on failure.
+fn write(out: &str, what: &str, body: String) -> bool {
+    let written = std::fs::write(out, body + "\n");
+    match &written {
+        Ok(()) => eprintln!("{what} written to {out}"),
+        Err(e) => eprintln!("failed to write {out}: {e}"),
+    }
+    written.is_ok()
+}
+
+/// The engine subcommands default to a tenth of the paper's population:
+/// the full 10 K instances are overkill for a trace you read in a
+/// terminal.
+const ENGINE_SCALE: f64 = 0.1;
 
 /// Builds the scenario seed extract either from a shard directory
 /// (`--from-shards DIR`, written by `fediscope shard`) or by generating
 /// the world in-process. A shard load never materialises the corpus —
 /// records stream one at a time from `world.ndjson` — and ignores
 /// `--scale/--seed`: the shard manifest is authoritative for both.
-fn load_seeds(args: &[String], config: WorldConfig) -> Result<ScenarioSeeds, ExitCode> {
+fn load_seeds(flags: &Flags) -> Result<ScenarioSeeds, ExitCode> {
     use fediscope::synthgen::SeedKnobs;
-    if let Some(dir) = parse_flag(args, "--from-shards") {
+    if let Some(dir) = &flags.from_shards {
         eprintln!("loading world from shards at {dir} ...");
-        ScenarioSeeds::from_shards(std::path::Path::new(&dir), &SeedKnobs::default()).map_err(|e| {
+        ScenarioSeeds::from_shards(Path::new(dir), &SeedKnobs::default()).map_err(|e| {
             eprintln!("cannot load shards from {dir}: {e}");
             ExitCode::FAILURE
         })
     } else {
+        let config = flags.world(ENGINE_SCALE);
         eprintln!(
             "generating world (seed {}, scale {}) ...",
             config.seed, config.scale
@@ -137,30 +247,17 @@ fn load_seeds(args: &[String], config: WorldConfig) -> Result<ScenarioSeeds, Exi
 /// `world.ndjson` plus `manifest.json` — for later `--from-shards`
 /// reloads. Generation streams chunk-by-chunk, so sharding a 1.0-scale
 /// world never holds the full corpus in memory either.
-fn shard(args: &[String]) -> ExitCode {
-    let Some(out) = parse_flag(args, "--out") else {
+fn shard(flags: Flags) -> ExitCode {
+    let Some(out) = &flags.out else {
         eprintln!("shard requires --out DIR");
         return usage();
     };
-    let mut config = WorldConfig::paper();
-    config.scale = 0.1;
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(p) = parse_flag(args, "--post-scale").and_then(|v| v.parse().ok()) {
-        config.post_scale = p;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
-    if let Some(w) = parse_flag(args, "--threads").and_then(|v| v.parse::<usize>().ok()) {
-        config.parallelism = fediscope::synthgen::Parallelism(w);
-    }
+    let config = flags.world(ENGINE_SCALE);
     eprintln!(
         "sharding world (seed {}, scale {}, post_scale {}) to {out} ...",
         config.seed, config.scale, config.post_scale
     );
-    match fediscope::synthgen::write_shard_dir(&config, std::path::Path::new(&out)) {
+    match fediscope::synthgen::write_shard_dir(&config, Path::new(out)) {
         Ok(manifest) => {
             eprintln!("wrote {} instances to {out}", manifest.instances);
             ExitCode::SUCCESS
@@ -173,13 +270,29 @@ fn shard(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    const ENGINE: &str = "--scale --seed --ticks --threads --out --telemetry-out";
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("crawl") => crawl(&args[1..]),
-        Some("report") => report(&args[1..]),
-        Some("shard") => shard(&args[1..]),
-        Some("dynamics") => dynamics(&args[1..]),
-        Some("experiment") => experiment(&args[1..]),
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    match command.as_str() {
+        "crawl" => with_flags(rest, "--scale --post-scale --seed --peer-cap --out", crawl),
+        "report" => report(rest),
+        "shard" => with_flags(rest, "--scale --post-scale --seed --threads --out", shard),
+        "dynamics" => match rest.split_first() {
+            Some((which, rest)) if which == "census" => {
+                with_flags(rest, &format!("{ENGINE} --census-every"), census)
+            }
+            Some((which, rest)) => with_flags(rest, &format!("{ENGINE} --from-shards"), |flags| {
+                dynamics(which, flags)
+            }),
+            None => usage(),
+        },
+        "experiment" => with_flags(
+            rest,
+            &format!("{ENGINE} --from-shards --arms --baseline"),
+            experiment,
+        ),
         _ => usage(),
     }
 }
@@ -187,7 +300,7 @@ fn main() -> ExitCode {
 /// The counterfactual harness: N paired arms over one shared world,
 /// reported as per-tick prevented-exposure deltas against a designated
 /// baseline arm.
-fn experiment(args: &[String]) -> ExitCode {
+fn experiment(flags: Flags) -> ExitCode {
     use fediscope::dynamics::scenarios::{
         AdoptionModel, BlocklistImportScenario, ImportConfig, InactionScenario,
         PolicyRolloutScenario, RolloutConfig,
@@ -195,14 +308,17 @@ fn experiment(args: &[String]) -> ExitCode {
     use fediscope::dynamics::{Arm, EngineBuilder, Experiment, Scenario};
     use std::sync::Arc;
 
-    let (config, ticks) = world_flags(args);
-    let arm_names: Vec<String> = parse_flag(args, "--arms")
-        .unwrap_or_else(|| "inaction,rollout,import-partial".to_string())
+    let arm_names: Vec<String> = flags
+        .arms
+        .as_deref()
+        .unwrap_or("inaction,rollout,import-partial")
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let baseline = parse_flag(args, "--baseline")
+    let baseline = flags
+        .baseline
+        .clone()
         .unwrap_or_else(|| arm_names.first().cloned().unwrap_or_default());
     // Every arm strips moderation back to the fresh install in `init`,
     // so all counterfactuals share the same null starting state.
@@ -253,16 +369,12 @@ fn experiment(args: &[String]) -> ExitCode {
         );
         return usage();
     }
-    let telemetry_out = arm_telemetry(args);
-    let seeds = match load_seeds(args, config) {
+    let seeds = match load_seeds(&flags) {
         Ok(seeds) => Arc::new(seeds),
         Err(code) => return code,
     };
-    let engine_config = fediscope::dynamics::DynamicsConfig {
-        seed: seeds.seed,
-        ticks,
-        ..Default::default()
-    };
+    let engine_config = flags.engine(seeds.seed);
+    let ticks = engine_config.ticks;
     let mut experiment = Experiment::new(EngineBuilder::new(engine_config, Arc::clone(&seeds)))
         .with_baseline(baseline.clone());
     for arm in arms {
@@ -290,83 +402,56 @@ fn experiment(args: &[String]) -> ExitCode {
             delta.final_links(),
         );
     }
-    if let Some(path) = &telemetry_out {
-        if !write_telemetry(path, &format!("experiment {}", arm_names.join(","))) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(out) = parse_flag(args, "--out") {
-        let body = serde_json::json!({
-            "result": result,
-            "deltas": result.deltas(),
-        });
-        match serde_json::to_string_pretty(&body) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(&out, body + "\n") {
-                    eprintln!("failed to write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("experiment written to {out}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize experiment: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    let body = serde_json::json!({
+        "result": result,
+        "deltas": result.deltas(),
+    });
+    let label = format!("experiment {}", arm_names.join(","));
+    finish(&flags, &label, "experiment", &body)
 }
 
-fn dynamics(args: &[String]) -> ExitCode {
+/// The composed timeline `composite` and the `census` round-trip both
+/// run: a toxicity storm erupting while the §3 outage wave unfolds and
+/// a staged MRF rollout races both.
+fn trio() -> fediscope::dynamics::scenarios::Composite {
     use fediscope::dynamics::scenarios::{
-        CascadeConfig, ChurnConfig, ChurnScenario, Composite, DefederationCascadeScenario,
+        ChurnConfig, ChurnScenario, Composite, PolicyRolloutScenario, RolloutConfig, StormConfig,
+        ToxicityStormScenario,
+    };
+    Composite::new()
+        .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
+        .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
+        .with(Box::new(PolicyRolloutScenario::new(
+            RolloutConfig::default(),
+        )))
+}
+
+fn dynamics(which: &str, flags: Flags) -> ExitCode {
+    use fediscope::dynamics::scenarios::{
+        CascadeConfig, ChurnConfig, ChurnScenario, DefederationCascadeScenario,
         PolicyRolloutScenario, RolloutConfig, StormConfig, ToxicityStormScenario,
     };
-    let Some(which) = args.first() else {
-        return usage();
-    };
-    let (config, ticks) = world_flags(args);
-    // The composed timeline the round-trip and `composite` both run:
-    // a toxicity storm erupting while the §3 outage wave unfolds and a
-    // staged MRF rollout races both.
-    let trio = || {
-        Box::new(
-            Composite::new()
-                .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
-                .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-                .with(Box::new(PolicyRolloutScenario::new(
-                    RolloutConfig::default(),
-                ))),
-        )
-    };
-    if which == "census" {
-        return census(args, config, ticks, trio());
-    }
-    let mut scenario: Box<dyn fediscope::dynamics::Scenario> = match which.as_str() {
+    let mut scenario: Box<dyn fediscope::dynamics::Scenario> = match which {
         "rollout" => Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
         "cascade" => Box::new(DefederationCascadeScenario::new(CascadeConfig::default())),
         "churn" => Box::new(ChurnScenario::new(ChurnConfig::default())),
         "storm" => Box::new(ToxicityStormScenario::new(StormConfig::default())),
-        "composite" => trio(),
+        "composite" => Box::new(trio()),
         _ => return usage(),
     };
-    let telemetry_out = arm_telemetry(args);
-    let seeds = match load_seeds(args, config) {
+    let seeds = match load_seeds(&flags) {
         Ok(seeds) => seeds,
         Err(code) => return code,
     };
-    let engine_config = fediscope::dynamics::DynamicsConfig {
-        seed: seeds.seed,
-        ticks,
-        ..Default::default()
-    };
-    let mut engine = fediscope::dynamics::DynamicsEngine::new(engine_config, &seeds);
+    let engine_config = flags.engine(seeds.seed);
     eprintln!(
-        "running {} over {} instances / {} links for {ticks} ticks ...",
+        "running {} over {} instances / {} links for {} ticks ...",
         which,
         seeds.len(),
-        seeds.links.len()
+        seeds.links.len(),
+        engine_config.ticks
     );
+    let mut engine = fediscope::dynamics::DynamicsEngine::new(engine_config, &seeds);
     let trace = engine.run(scenario.as_mut());
     println!("{}", fediscope::analysis::dynamics::render_dynamics(&trace));
     let summary = fediscope::analysis::dynamics::prevention_summary(&trace);
@@ -381,41 +466,14 @@ fn dynamics(args: &[String]) -> ExitCode {
         summary.prevented,
         summary.prevented_share * 100.0
     );
-    if let Some(path) = &telemetry_out {
-        if !write_telemetry(path, &format!("dynamics {which}")) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(out) = parse_flag(args, "--out") {
-        match serde_json::to_string_pretty(&trace) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(&out, body + "\n") {
-                    eprintln!("failed to write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("trace written to {out}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    finish(&flags, &format!("dynamics {which}"), "trace", &trace)
 }
 
 /// The dynamics ↔ simnet round-trip: run the composed scenario against
 /// a live network and re-census it mid-decay.
-fn census(
-    args: &[String],
-    config: WorldConfig,
-    ticks: u64,
-    mut scenario: Box<fediscope::dynamics::scenarios::Composite>,
-) -> ExitCode {
-    let every_ticks: u64 = parse_flag(args, "--census-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
-    let telemetry_out = arm_telemetry(args);
+fn census(flags: Flags) -> ExitCode {
+    let every_ticks = flags.census_every.unwrap_or(6);
+    let config = flags.world(ENGINE_SCALE);
     eprintln!(
         "generating world (seed {}, scale {}) and materialising the live net ...",
         config.seed, config.scale
@@ -423,14 +481,12 @@ fn census(
     let world = World::generate(config);
     let seeds = ScenarioSeeds::from_world(&world);
     let round_trip_config = fediscope::census::RoundTripConfig {
-        engine: fediscope::dynamics::DynamicsConfig {
-            seed: seeds.seed,
-            ticks,
-            ..Default::default()
-        },
+        engine: flags.engine(seeds.seed),
         crawler: CrawlerConfig::default(),
         cadence: fediscope::dynamics::CensusCadence { every_ticks },
     };
+    let ticks = round_trip_config.engine.ticks;
+    let mut scenario = trio();
     let rt = tokio::runtime::Builder::new_multi_thread()
         .enable_all()
         .build()
@@ -441,13 +497,8 @@ fn census(
             scenario.sub_names().join("+"),
             seeds.len(),
         );
-        fediscope::census::run_round_trip_seeded(
-            &world,
-            &seeds,
-            scenario.as_mut(),
-            round_trip_config,
-        )
-        .await
+        fediscope::census::run_round_trip_seeded(&world, &seeds, &mut scenario, round_trip_config)
+            .await
     });
     println!(
         "{}",
@@ -464,49 +515,20 @@ fn census(
         result.bridge.recoveries_applied(),
         result.bridge.defederations_applied(),
     );
-    if let Some(path) = &telemetry_out {
-        if !write_telemetry(path, "dynamics census") {
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(out) = parse_flag(args, "--out") {
-        let body = serde_json::json!({
-            "trace": result.trace,
-            "census": result.census,
-        });
-        match serde_json::to_string_pretty(&body) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(&out, body + "\n") {
-                    eprintln!("failed to write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("round-trip written to {out}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize round-trip: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    let body = serde_json::json!({
+        "trace": result.trace,
+        "census": result.census,
+    });
+    finish(&flags, "dynamics census", "round-trip", &body)
 }
 
-fn crawl(args: &[String]) -> ExitCode {
-    let mut config = WorldConfig::paper();
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(p) = parse_flag(args, "--post-scale").and_then(|v| v.parse().ok()) {
-        config.post_scale = p;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
+fn crawl(flags: Flags) -> ExitCode {
+    let config = flags.world(WorldConfig::paper().scale);
     // §3 methodology: the real crawl saw truncated Peers responses, so a
     // capped crawl reproduces the directory-thinned census (and its
     // under-count — see `fediscope-analysis::calibration`).
-    let peer_cap = parse_flag(args, "--peer-cap").and_then(|v| v.parse::<usize>().ok());
-    let out = parse_flag(args, "--out").unwrap_or_else(|| "dataset.json".to_string());
+    let peer_cap = flags.peer_cap;
+    let out = flags.out.unwrap_or_else(|| "dataset.json".to_string());
 
     let rt = tokio::runtime::Builder::new_multi_thread()
         .enable_all()

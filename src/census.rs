@@ -5,9 +5,8 @@
 //! population systematically under-counts the true one. This module
 //! closes the loop between the two halves of the toolkit that can
 //! reproduce that: the dynamics engine evolves the fleet
-//! (`GoDown`/`Recover`/`Defederate` events), a
-//! [`LiveNetBridge`](fediscope_dynamics::LiveNetBridge) mirrors every
-//! transition onto a live [`SimNet`](fediscope_simnet::SimNet), and the
+//! (`GoDown`/`Recover`/`Defederate` events), a [`LiveNetBridge`]
+//! mirrors every transition onto a live [`SimNet`], and the
 //! §3 crawler re-censuses that network between ticks at a configurable
 //! [`CensusCadence`]. The result is the under-count bias table the
 //! static campaign cannot produce: observed vs. true instance counts,
@@ -34,12 +33,141 @@
 //! ```
 
 use crate::harness;
+use fediscope_core::id::Domain;
 use fediscope_crawler::{CrawlOutcome, Crawler, CrawlerConfig};
 use fediscope_dynamics::{
-    BridgeStats, CensusCadence, CensusSnapshot, DynamicsConfig, DynamicsEngine, DynamicsTrace,
-    LiveNetBridge, Scenario, TickTrace,
+    CensusCadence, CensusSnapshot, DynamicsConfig, DynamicsEngine, DynamicsTrace, Event, EventSink,
+    NetworkState, Scenario, TickTrace,
 };
+use fediscope_server::InstanceServer;
+use fediscope_simnet::{FailureMode, SimNet};
 use fediscope_synthgen::{ScenarioSeeds, World};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+#[derive(Debug, Default)]
+struct BridgeCounters {
+    failures: AtomicU64,
+    recoveries: AtomicU64,
+    defederations: AtomicU64,
+}
+
+/// A read handle on a bridge's mirroring counters. Cheap to clone;
+/// stays valid after the bridge itself was boxed into the engine via
+/// [`DynamicsEngine::attach_sink`].
+#[derive(Debug, Clone)]
+pub struct BridgeStats {
+    counters: Arc<BridgeCounters>,
+}
+
+impl BridgeStats {
+    /// `GoDown` events mirrored to the net.
+    pub fn failures_applied(&self) -> u64 {
+        self.counters.failures.load(Ordering::Relaxed)
+    }
+
+    /// `Recover` events mirrored to the net.
+    pub fn recoveries_applied(&self) -> u64 {
+        self.counters.recoveries.load(Ordering::Relaxed)
+    }
+
+    /// `Defederate` events that severed a live engine link.
+    pub fn defederations_applied(&self) -> u64 {
+        self.counters.defederations.load(Ordering::Relaxed)
+    }
+}
+
+/// Mirrors engine events onto a live [`SimNet`] (and its servers).
+///
+/// `GoDown` and `Recover` become [`SimNet::set_failure`] calls;
+/// `Defederate` tears down the blocker's follow edges via
+/// [`InstanceServer::defederate`]. Attach via
+/// [`DynamicsEngine::attach_sink`]. The bridge is a pure observer: it
+/// applies the engine's *outcomes* to the network and never feeds
+/// anything back, so a bridged run produces the exact same
+/// [`DynamicsTrace`] as an unbridged one.
+pub struct LiveNetBridge {
+    net: Arc<SimNet>,
+    /// Seed-index → domain table, frozen at construction (instance
+    /// indexing is immutable for a run).
+    domains: Vec<Domain>,
+    /// Servers to tear follow edges down on, by domain. Optional: a
+    /// domain without a server still gets failure injection (exactly
+    /// like the §3 dead instances, which answer without any endpoint).
+    servers: HashMap<Domain, Arc<InstanceServer>>,
+    counters: Arc<BridgeCounters>,
+}
+
+impl LiveNetBridge {
+    /// A bridge from `state`'s instance table onto `net`.
+    pub fn new(net: Arc<SimNet>, state: &NetworkState) -> Self {
+        LiveNetBridge {
+            net,
+            domains: state.instances.iter().map(|i| i.domain.clone()).collect(),
+            servers: HashMap::new(),
+            counters: Arc::new(BridgeCounters::default()),
+        }
+    }
+
+    /// Adds the servers whose follow graphs `Defederate` events tear
+    /// down (typically the `harness::Materialized` server map).
+    pub fn with_servers<I>(mut self, servers: I) -> Self
+    where
+        I: IntoIterator<Item = (Domain, Arc<InstanceServer>)>,
+    {
+        self.servers.extend(servers);
+        self
+    }
+
+    /// A counter handle that outlives attaching the bridge.
+    pub fn stats(&self) -> BridgeStats {
+        BridgeStats {
+            counters: Arc::clone(&self.counters),
+        }
+    }
+}
+
+impl EventSink for LiveNetBridge {
+    fn sync(&mut self, state: &NetworkState) {
+        for inst in &state.instances {
+            self.net.set_failure(inst.domain.clone(), inst.failure);
+        }
+    }
+
+    fn on_event(&mut self, event: &Event, applied: bool, _state: &NetworkState) {
+        match event {
+            Event::GoDown { instance, mode } => {
+                self.counters.failures.fetch_add(1, Ordering::Relaxed);
+                self.net
+                    .set_failure(self.domains[*instance as usize].clone(), *mode);
+            }
+            Event::Recover { instance } => {
+                self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
+                self.net.set_failure(
+                    self.domains[*instance as usize].clone(),
+                    FailureMode::Healthy,
+                );
+            }
+            Event::Defederate { instance, target } => {
+                // Only a block that actually severed an engine link tears
+                // the live graph down: re-blocking an already-severed
+                // pair must stay a no-op on the bridged side too.
+                if applied {
+                    self.counters.defederations.fetch_add(1, Ordering::Relaxed);
+                    let target = &self.domains[*target as usize];
+                    if let Some(server) = self.servers.get(&self.domains[*instance as usize]) {
+                        server.defederate(target);
+                    }
+                }
+            }
+            // Retry redeliveries are an engine-internal reliability
+            // mechanism: they change counters, not network reachability,
+            // so there is nothing to mirror onto the live net.
+            Event::AdoptWave { .. } | Event::SetRate { .. } | Event::RetryDelivery { .. } => {}
+        }
+    }
+}
 
 /// Round-trip knobs: the engine run, the per-census crawler, and how
 /// often to census.
@@ -67,7 +195,7 @@ pub struct RoundTrip {
     /// The live network the censuses ran against; its cumulative
     /// [`NetStats`](fediscope_simnet::NetStats) (notably
     /// `failure_taxonomy()`) covers every probe of every census.
-    pub net: std::sync::Arc<fediscope_simnet::SimNet>,
+    pub net: Arc<SimNet>,
 }
 
 /// Materialises `world` onto a live [`SimNet`](fediscope_simnet::SimNet)
@@ -98,13 +226,12 @@ pub async fn run_round_trip_seeded(
     crawler_config.snapshot_rounds = 0;
 
     let mut engine = DynamicsEngine::new(config.engine.clone(), seeds);
-    let bridge = LiveNetBridge::new(std::sync::Arc::clone(&materialized.net), engine.state())
-        .with_servers(
-            materialized
-                .servers
-                .iter()
-                .map(|(d, s)| (d.clone(), std::sync::Arc::clone(s))),
-        );
+    let bridge = LiveNetBridge::new(Arc::clone(&materialized.net), engine.state()).with_servers(
+        materialized
+            .servers
+            .iter()
+            .map(|(d, s)| (d.clone(), Arc::clone(s))),
+    );
     let stats = bridge.stats();
     engine.attach_sink(Box::new(bridge));
     engine.begin(scenario);
@@ -131,7 +258,7 @@ pub async fn run_round_trip_seeded(
         trace: engine.finish(scenario, ticks),
         census,
         bridge: stats,
-        net: std::sync::Arc::clone(&materialized.net),
+        net: Arc::clone(&materialized.net),
     }
 }
 
@@ -148,14 +275,11 @@ pub async fn run_round_trip_seeded(
 async fn census_once(
     materialized: &harness::Materialized,
     crawler_config: &CrawlerConfig,
-    state: &fediscope_dynamics::NetworkState,
+    state: &NetworkState,
     tick: &TickTrace,
     world: &World,
 ) -> CensusSnapshot {
-    let crawler = Crawler::new(
-        std::sync::Arc::clone(&materialized.net),
-        crawler_config.clone(),
-    );
+    let crawler = Crawler::new(Arc::clone(&materialized.net), crawler_config.clone());
     let dataset = crawler.run(&world.directory).await;
     let mut taxonomy = [0u64; 5];
     let mut failed_probes = 0;
@@ -202,13 +326,81 @@ mod tests {
         ChurnConfig, ChurnScenario, Composite, PolicyRolloutScenario, RolloutConfig, StormConfig,
         ToxicityStormScenario,
     };
-    use fediscope_simnet::FailureMode;
     use fediscope_synthgen::WorldConfig;
     use std::sync::OnceLock;
 
     fn world() -> &'static World {
         static WORLD: OnceLock<World> = OnceLock::new();
         WORLD.get_or_init(|| World::generate(WorldConfig::test_small()))
+    }
+
+    fn seeds() -> &'static ScenarioSeeds {
+        static SEEDS: OnceLock<ScenarioSeeds> = OnceLock::new();
+        SEEDS.get_or_init(|| ScenarioSeeds::from_world(world()))
+    }
+
+    fn bridged_engine(ticks: u64) -> (DynamicsEngine, Arc<SimNet>, BridgeStats) {
+        let config = DynamicsConfig {
+            ticks,
+            ..DynamicsConfig::default()
+        };
+        let mut engine = DynamicsEngine::new(config, seeds());
+        let net = Arc::new(SimNet::new());
+        let bridge = LiveNetBridge::new(Arc::clone(&net), engine.state());
+        let stats = bridge.stats();
+        engine.attach_sink(Box::new(bridge));
+        (engine, net, stats)
+    }
+
+    #[test]
+    fn bridge_mirrors_churn_onto_the_net() {
+        let (mut engine, net, stats) = bridged_engine(36);
+        let mut scenario = ChurnScenario::new(ChurnConfig::default());
+        engine.run(&mut scenario);
+        // After the full ramp the live net agrees with the engine state,
+        // instance by instance.
+        for inst in &engine.state().instances {
+            assert_eq!(
+                net.failure_of(&inst.domain),
+                inst.failure,
+                "{} diverged between engine and net",
+                inst.domain
+            );
+        }
+        // Every scheduled death went over the bridge, and every
+        // transient recovered.
+        assert_eq!(
+            stats.failures_applied(),
+            scenario.permanent_deaths() + scenario.transients()
+        );
+        assert_eq!(stats.recoveries_applied(), scenario.transients());
+    }
+
+    #[test]
+    fn bridge_sync_applies_init_rewrites() {
+        // Churn's init resets everyone healthy *before* tick 0 — the
+        // sync hook must propagate that, or the net would keep the seed
+        // failure modes the scenario explicitly cleared.
+        let (mut engine, net, _stats) = bridged_engine(36);
+        let mut scenario = ChurnScenario::new(ChurnConfig::default());
+        engine.begin(&mut scenario);
+        for inst in &engine.state().instances {
+            assert_eq!(net.failure_of(&inst.domain), FailureMode::Healthy);
+        }
+    }
+
+    #[test]
+    fn bridged_run_traces_identically_to_unbridged() {
+        let config = DynamicsConfig {
+            ticks: 12,
+            ..DynamicsConfig::default()
+        };
+        let mut plain = DynamicsEngine::new(config.clone(), seeds());
+        let unbridged = plain.run(&mut ChurnScenario::new(ChurnConfig::default()));
+        let (mut engine, _net, _stats) = bridged_engine(12);
+        let bridged = engine.run(&mut ChurnScenario::new(ChurnConfig::default()));
+        assert_eq!(unbridged.digest(), bridged.digest());
+        assert_eq!(unbridged, bridged);
     }
 
     fn config(ticks: u64, every_ticks: u64) -> RoundTripConfig {
@@ -269,7 +461,6 @@ mod tests {
         let sums: Vec<u64> = (0..5)
             .map(|k| rt.census.iter().map(|c| c.taxonomy[k]).sum())
             .collect();
-        use fediscope_simnet::FailureMode;
         assert_eq!(taxonomy[FailureMode::NotFound], sums[0]);
         assert!(taxonomy[FailureMode::Forbidden] >= sums[1]);
         assert_eq!(taxonomy[FailureMode::BadGateway], 2 * sums[2]);

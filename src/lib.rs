@@ -34,7 +34,7 @@
 //! examples, the integration tests and the benchmark harness. The
 //! [`census`] module couples the two layers: it drives a *live* network
 //! from the dynamics event stream (via
-//! [`fediscope_dynamics::LiveNetBridge`]) and re-runs the §3 census
+//! [`census::LiveNetBridge`]) and re-runs the §3 census
 //! between ticks, measuring the crawler's under-count bias while the
 //! fleet churns underneath it.
 //!
