@@ -89,6 +89,20 @@ pub trait MrfPolicy: Send + Sync {
     /// [`rewrites_content`](Self::rewrites_content) is `false` (sound:
     /// such a policy never rewrites), and returns `NeedsClone` otherwise.
     /// Hot policies override this with a true borrow-based judgement.
+    ///
+    /// `NeedsClone` is always sound but never free: the caller clones
+    /// the activity and walks the whole owned pipeline again, on every
+    /// verdict that reaches this stage. Returning it for an activity the
+    /// policy would pass unchanged is a silent slowdown. Before
+    /// [`policies::TagPolicy`] judged by borrow, its default `NeedsClone`
+    /// sent 933 K of the 1.0-scale storm's 13.24 M fresh verdicts per
+    /// 120-tick run down that path — about 0.55 s of serial CPU, half of
+    /// the receiver stage, on a 2-vCPU Xeon — although the engine's
+    /// untagged directory meant the policy never rewrote anything. The
+    /// clones' refcount writes on shared `Arc`s also kept that stage from
+    /// scaling across workers. The dynamics engine counts these fallbacks
+    /// (`measure_clone_fallbacks` in its telemetry), so a hot policy that
+    /// loses its borrow path shows in a run's own output.
     fn judge_ref(
         &self,
         ctx: &PolicyContext<'_>,

@@ -7,10 +7,12 @@
 //! it out as the building block for less destructive moderation.
 
 use crate::catalog::PolicyKind;
+use crate::id::UserRef;
 use crate::model::{mrf_tags, Activity, ActivityKind, ActivityPayload, Visibility};
 use crate::mrf::context::PolicyContext;
 use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::MrfPolicy;
+use crate::mrf::{MrfPolicy, RefVerdict};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Implementation of Pleroma's `TagPolicy`. Stateless: the tags live on the
@@ -22,6 +24,35 @@ pub struct TagPolicy;
 impl TagPolicy {
     fn reject(code: &'static str, detail: String) -> PolicyVerdict {
         PolicyVerdict::Reject(RejectReason::new(PolicyKind::Tag, code, detail))
+    }
+
+    /// The refusal a follow meets, if its target carries a subscription
+    /// tag that applies: the followed account, the reject code and the
+    /// reason's wording. Subscription tags are applied to the *target*
+    /// account.
+    fn refused_follow<'a>(
+        ctx: &PolicyContext<'_>,
+        activity: &'a Activity,
+    ) -> Option<(&'a UserRef, &'static str, &'static str)> {
+        let ActivityPayload::FollowRequest { target } = &activity.payload else {
+            return None;
+        };
+        let tags = ctx.actors.mrf_tags(target);
+        if tags.iter().any(|t| t == mrf_tags::DISABLE_ANY_SUBSCRIPTION) {
+            return Some((target, "subscription_disabled", "does not accept follows"));
+        }
+        if tags
+            .iter()
+            .any(|t| t == mrf_tags::DISABLE_REMOTE_SUBSCRIPTION)
+            && !ctx.is_local(&activity.actor.domain)
+        {
+            return Some((
+                target,
+                "remote_subscription_disabled",
+                "does not accept remote follows",
+            ));
+        }
+        None
     }
 }
 
@@ -55,31 +86,32 @@ impl MrfPolicy for TagPolicy {
                 }
                 PolicyVerdict::Pass(activity)
             }
-            ActivityKind::Follow => {
-                // Subscription tags are applied to the *target* account.
-                let ActivityPayload::FollowRequest { target } = &activity.payload else {
-                    return PolicyVerdict::Pass(activity);
-                };
-                let tags = ctx.actors.mrf_tags(target);
-                if tags.iter().any(|t| t == mrf_tags::DISABLE_ANY_SUBSCRIPTION) {
-                    return Self::reject(
-                        "subscription_disabled",
-                        format!("{target} does not accept follows"),
-                    );
-                }
-                if tags
-                    .iter()
-                    .any(|t| t == mrf_tags::DISABLE_REMOTE_SUBSCRIPTION)
-                    && !ctx.is_local(&activity.actor.domain)
-                {
-                    return Self::reject(
-                        "remote_subscription_disabled",
-                        format!("{target} does not accept remote follows"),
-                    );
-                }
-                PolicyVerdict::Pass(activity)
-            }
+            ActivityKind::Follow => match Self::refused_follow(ctx, &activity) {
+                Some((target, code, what)) => Self::reject(code, format!("{target} {what}")),
+                None => PolicyVerdict::Pass(activity),
+            },
             _ => PolicyVerdict::Pass(activity),
+        }
+    }
+
+    /// Borrow-based judgement. Only a `Create` from a tagged author can be
+    /// rewritten; a follow is refused exactly where [`filter`] refuses it;
+    /// nothing else is touched. Under an untagged directory (the dynamics
+    /// engine's) every verdict stays on this path.
+    ///
+    /// [`filter`]: MrfPolicy::filter
+    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
+        match activity.kind {
+            ActivityKind::Create
+                if activity.note().is_some()
+                    && !ctx.actors.mrf_tags(&activity.actor).is_empty() =>
+            {
+                RefVerdict::NeedsClone
+            }
+            ActivityKind::Follow if Self::refused_follow(ctx, activity).is_some() => {
+                RefVerdict::Reject(PolicyKind::Tag)
+            }
+            _ => RefVerdict::Pass,
         }
     }
 }
@@ -219,5 +251,36 @@ mod tests {
             SimTime(0),
         );
         assert!(run(&dir, local_follow).is_pass());
+    }
+
+    #[test]
+    fn judge_ref_borrows_unless_a_tag_can_rewrite() {
+        let local = Domain::new("home.example");
+        let judge = |dir: &TagDir, act: &Activity| {
+            let ctx = PolicyContext::new(&local, SimTime(100), dir);
+            TagPolicy.judge_ref(&ctx, act, SimTime(100))
+        };
+        let dir = tagged_dir(UserId(1), mrf_tags::MEDIA_STRIP);
+        assert_eq!(
+            judge(&dir, &post_with_media(UserId(1))),
+            RefVerdict::NeedsClone
+        );
+        assert_eq!(judge(&dir, &post_with_media(UserId(2))), RefVerdict::Pass);
+
+        let target = UserRef::new(UserId(7), Domain::new("home.example"));
+        let dir = tagged_dir(UserId(7), mrf_tags::DISABLE_REMOTE_SUBSCRIPTION);
+        let follow_from = |domain: &str| {
+            Activity::follow(
+                ActivityId(9),
+                UserRef::new(UserId(1), Domain::new(domain)),
+                target.clone(),
+                SimTime(0),
+            )
+        };
+        assert_eq!(
+            judge(&dir, &follow_from("remote.example")),
+            RefVerdict::Reject(PolicyKind::Tag)
+        );
+        assert_eq!(judge(&dir, &follow_from("home.example")), RefVerdict::Pass);
     }
 }

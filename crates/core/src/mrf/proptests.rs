@@ -9,9 +9,13 @@ use crate::mrf::policies::{
     EnsureRePrependedPolicy, HellthreadPolicy, KeywordAction, KeywordPolicy, KeywordRule,
     NoOpPolicy, NormalizeMarkupPolicy, SimpleAction, SimplePolicy,
 };
-use crate::mrf::{MrfPipeline, MrfPolicy, NullActorDirectory, PolicyContext, PolicyVerdict};
+use crate::mrf::{
+    ActorDirectory, MrfPipeline, MrfPolicy, NullActorDirectory, PolicyContext, PolicyVerdict,
+    RefVerdict,
+};
 use crate::time::SimTime;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn ctx_bits() -> (Domain, NullActorDirectory) {
@@ -48,6 +52,57 @@ fn arb_post() -> impl Strategy<Value = Post> {
                 post
             },
         )
+}
+
+/// Every admin-applied MRF tag, in declaration order.
+const MRF_TAGS: [&str; 6] = [
+    crate::model::mrf_tags::MEDIA_FORCE_NSFW,
+    crate::model::mrf_tags::MEDIA_STRIP,
+    crate::model::mrf_tags::FORCE_UNLISTED,
+    crate::model::mrf_tags::SANDBOX,
+    crate::model::mrf_tags::DISABLE_REMOTE_SUBSCRIPTION,
+    crate::model::mrf_tags::DISABLE_ANY_SUBSCRIPTION,
+];
+
+/// An actor directory whose only knowledge is per-account MRF tags —
+/// enough to reach every tagged branch of `TagPolicy`.
+#[derive(Debug, Default)]
+struct TaggedDirectory {
+    tags: HashMap<UserRef, Vec<String>>,
+}
+
+impl TaggedDirectory {
+    /// Applies `MRF_TAGS[i]` to `authors[i]` and to `targets[i]`.
+    fn new(authors: &[UserRef], targets: &[UserRef]) -> Self {
+        let mut dir = Self::default();
+        for (tag, (author, target)) in MRF_TAGS.iter().zip(authors.iter().zip(targets)) {
+            for account in [author, target] {
+                dir.tags
+                    .entry(account.clone())
+                    .or_default()
+                    .push(tag.to_string());
+            }
+        }
+        dir
+    }
+}
+
+impl ActorDirectory for TaggedDirectory {
+    fn is_bot(&self, _: &UserRef) -> bool {
+        false
+    }
+    fn followers(&self, _: &UserRef) -> Option<u32> {
+        None
+    }
+    fn created(&self, _: &UserRef) -> Option<SimTime> {
+        None
+    }
+    fn mrf_tags(&self, actor: &UserRef) -> Vec<String> {
+        self.tags.get(actor).cloned().unwrap_or_default()
+    }
+    fn report_count(&self, _: &UserRef) -> u32 {
+        0
+    }
 }
 
 /// One control-phase event of the delta-API differential test: a
@@ -308,6 +363,90 @@ proptest! {
                 ),
             },
             RefVerdict::NeedsClone => {}
+        }
+    }
+
+    /// `filter_fast_ref` keeps the same three-way contract when accounts
+    /// carry MRF tags: every tag constant lands on a drawn author and a
+    /// drawn follow target, and `Create`/`Follow` activities from local
+    /// and remote origins run through TagPolicy, alone or with a random
+    /// slice of the catalog (which often rejects or rewrites first). A
+    /// small account pool makes tag hits common, so `TagPolicy`'s tagged
+    /// branches — which `NullActorDirectory` never reaches — are
+    /// exercised on both paths.
+    #[test]
+    fn filter_fast_ref_agrees_with_filter_fast_on_tagged_accounts(
+        post in arb_post(),
+        subset_mask in proptest::option::of(any::<u64>()),
+        tagged_authors in proptest::collection::vec(0u64..4, MRF_TAGS.len()..MRF_TAGS.len() + 1),
+        tagged_targets in proptest::collection::vec(0u64..4, MRF_TAGS.len()..MRF_TAGS.len() + 1),
+        author in 0u64..4,
+        target in 0u64..4,
+        local_origin in any::<bool>(),
+        media in proptest::option::of(any::<bool>()),
+        published in 0u64..10_000,
+    ) {
+        let local = Domain::new("home.example");
+        let origin = if local_origin { local.clone() } else { Domain::new("remote.example") };
+        let account = |id: u64, domain: &Domain| UserRef::new(UserId(id), domain.clone());
+        let dir = TaggedDirectory::new(
+            &tagged_authors.iter().map(|&id| account(id, &origin)).collect::<Vec<_>>(),
+            &tagged_targets.iter().map(|&id| account(id, &local)).collect::<Vec<_>>(),
+        );
+        let catalog = crate::catalog::PolicyCatalog::global();
+        let mut config = crate::config::InstanceModerationConfig::default();
+        for (i, entry) in catalog.entries().iter().enumerate() {
+            if subset_mask.is_some_and(|mask| mask & (1 << (i % 64)) != 0) {
+                config.enable(entry.kind);
+            }
+        }
+        config.enable(PolicyKind::Tag);
+        let pipeline = config.build_pipeline();
+        let published = SimTime(published);
+
+        let mut post = post;
+        post.author = account(author, &origin);
+        if let Some(sensitive) = media {
+            post.media.push(crate::model::MediaAttachment {
+                host: origin.clone(),
+                kind: crate::model::MediaKind::Image,
+                sensitive,
+            });
+        }
+        let create = Activity::create(ActivityId(1), post);
+        let follow = Activity::follow(
+            ActivityId(2),
+            account(author, &origin),
+            account(target, &local),
+            published,
+        );
+        for act in [create, follow] {
+            let ctx1 = PolicyContext::new(&local, published, &dir);
+            let by_ref = pipeline.filter_fast_ref(&ctx1, &act, published);
+            let mut stamped = act.clone();
+            stamped.published = published;
+            if let Some(p) = stamped.note_mut() {
+                p.created = published;
+            }
+            let ctx2 = PolicyContext::new(&local, published, &dir);
+            match (by_ref, pipeline.filter_fast(&ctx2, stamped.clone())) {
+                (RefVerdict::Pass, PolicyVerdict::Pass(out)) => prop_assert_eq!(
+                    format!("{stamped:?}"),
+                    format!("{out:?}"),
+                    "zero-clone Pass must mean no rewrite was needed"
+                ),
+                (RefVerdict::Reject(kind), PolicyVerdict::Reject(reason)) => {
+                    prop_assert_eq!(kind, reason.policy)
+                }
+                (RefVerdict::NeedsClone, _) => {}
+                (by_ref, cloned) => prop_assert!(
+                    false,
+                    "{:?}: ref path said {:?} but cloning path gave {:?}",
+                    act.kind,
+                    by_ref,
+                    cloned
+                ),
+            }
         }
     }
 

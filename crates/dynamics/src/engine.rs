@@ -34,6 +34,11 @@
 //!   `(receiver, sender, distinct template)` and obtained clone-free via
 //!   [`MrfPipeline::filter_fast_ref`]; only a pipeline that would
 //!   actually rewrite *this* activity falls back to the cloning path.
+//!   Telemetry counts those fallbacks (`measure_clone_fallbacks`).
+//!
+//! Both stages hand out pieces of at most [`MEASURE_PIECE`] instances
+//! that workers claim dynamically, because per-instance cost is skewed;
+//! the results are collected in instance order all the same.
 //!
 //! Bit-identity with the reference path holds because the draws are the
 //! same RNG stream, integer counters are multiplied by run length (exact),
@@ -132,7 +137,15 @@ struct InstanceTick {
     rejected_authors: u64,
     exposure: f64,
     prevented: f64,
+    /// Fresh verdicts that `filter_fast_ref` deferred to the cloning
+    /// path (telemetry only; never enters the trace).
+    clone_fallbacks: u64,
 }
+
+/// Most instances one measurement-stage work piece holds. A few hub
+/// receivers and senders carry most edges, so one contiguous chunk per
+/// worker leaves workers idle; small claimed pieces even the load.
+const MEASURE_PIECE: usize = 32;
 
 /// A reusable engine factory over one shared seed extract.
 ///
@@ -538,12 +551,14 @@ impl DynamicsEngine {
                     let emissions = state.emissions_col();
                     let batches: Vec<SenderBatch> = (0..state.len())
                         .into_par_iter()
+                        .with_max_len(MEASURE_PIECE)
                         .map(|s| build_sender_batch(state, config, scorer, tick, s, emissions[s]))
                         .collect();
                     fresh_scores = batches.iter().map(|b| b.distinct.len() as u64).sum();
                     // Stage 2: receivers consume the shared batches.
                     (0..state.len())
                         .into_par_iter()
+                        .with_max_len(MEASURE_PIECE)
                         .map(|r| {
                             MEASURE_SCRATCH.with(|scratch| {
                                 measure_receiver_batched(
@@ -913,6 +928,7 @@ fn measure_receiver_batched(
                                 // activity: take the cloning path once; the
                                 // verdict is still memoized for the rest of
                                 // this neighbor's runs.
+                                m.clone_fallbacks += 1;
                                 let mut activity = template.activity.clone();
                                 activity.published = now;
                                 if let Some(post) = activity.note_mut() {
@@ -955,7 +971,7 @@ fn measure_receiver_batched(
 }
 
 /// Batch-publishes one receiver's tick counters: the counts were already
-/// accumulated locally, so the parallel fan-out pays at most four
+/// accumulated locally, so the parallel fan-out pays at most five
 /// sharded adds per receiver per tick, never one per post.
 #[inline]
 fn observe_receiver(m: &InstanceTick) {
@@ -967,6 +983,7 @@ fn observe_receiver(m: &InstanceTick) {
     telemetry.add(HotCounter::FilterFastHits, m.accepted);
     telemetry.add(HotCounter::FilterFastRejects, m.rejected);
     telemetry.add(HotCounter::FailedDeliveries, m.failed);
+    telemetry.add(HotCounter::MeasureCloneFallbacks, m.clone_fallbacks);
 }
 
 #[cfg(test)]

@@ -137,11 +137,16 @@ pub enum HotCounter {
     /// Compiled `MrfPipeline`s the interning pool had to build fresh
     /// (first instance of each distinct moderation config).
     PipelineInternMisses,
+    /// Fresh MRF verdicts in the engine's batched measurement phase that
+    /// the borrow path (`filter_fast_ref`) deferred to a clone plus an
+    /// owned pipeline walk. A hot policy without a borrow-based
+    /// judgement shows up here.
+    MeasureCloneFallbacks,
 }
 
 impl HotCounter {
     /// Every counter, in reporting order.
-    pub const ALL: [HotCounter; 18] = [
+    pub const ALL: [HotCounter; 19] = [
         HotCounter::ScorerCalls,
         HotCounter::ScorerMemoHits,
         HotCounter::FilterFastHits,
@@ -160,6 +165,7 @@ impl HotCounter {
         HotCounter::CensusRounds,
         HotCounter::PipelineInternHits,
         HotCounter::PipelineInternMisses,
+        HotCounter::MeasureCloneFallbacks,
     ];
 
     /// Stable snake_case name (the Prometheus metric stem).
@@ -183,6 +189,7 @@ impl HotCounter {
             HotCounter::CensusRounds => "census_rounds",
             HotCounter::PipelineInternHits => "pipeline_intern_hits",
             HotCounter::PipelineInternMisses => "pipeline_intern_misses",
+            HotCounter::MeasureCloneFallbacks => "measure_clone_fallbacks",
         }
     }
 
