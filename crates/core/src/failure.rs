@@ -1,7 +1,46 @@
-//! Per-domain failure injection matching the paper's §3 taxonomy.
+//! The paper's §3 failure taxonomy: the HTTP status codes an unreachable
+//! instance answers with, the per-domain [`FailureMode`] that forces one,
+//! and the [`FailureClass`] that says whether a failed delivery is worth
+//! retrying. Plain data, shared by the simulated network that injects
+//! these failures and the engine that replays them.
 
-use crate::http::StatusCode;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// An HTTP status code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct StatusCode(pub u16);
+
+impl StatusCode {
+    /// 200 OK.
+    pub const OK: StatusCode = StatusCode(200);
+    /// 202 Accepted (inbox deliveries).
+    pub const ACCEPTED: StatusCode = StatusCode(202);
+    /// 400 Bad Request.
+    pub const BAD_REQUEST: StatusCode = StatusCode(400);
+    /// 403 Forbidden — "instances require authorisation for timeline
+    /// viewing" (§3).
+    pub const FORBIDDEN: StatusCode = StatusCode(403);
+    /// 404 Not Found.
+    pub const NOT_FOUND: StatusCode = StatusCode(404);
+    /// 410 Gone.
+    pub const GONE: StatusCode = StatusCode(410);
+    /// 502 Bad Gateway.
+    pub const BAD_GATEWAY: StatusCode = StatusCode(502);
+    /// 503 Service Unavailable.
+    pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
+
+    /// Whether this is a 2xx code.
+    pub fn is_success(self) -> bool {
+        (200..300).contains(&self.0)
+    }
+}
+
+impl fmt::Display for StatusCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
 
 /// How a domain answers requests.
 ///

@@ -19,7 +19,9 @@
 //! * per-instance moderation configuration ([`config`]) in the shape the
 //!   paper's crawler retrieved from the instance metadata API,
 //! * the paper's reported numbers as constants ([`paper`]), shared by the
-//!   calibration machinery and the experiment harness.
+//!   calibration machinery and the experiment harness,
+//! * the §3 failure taxonomy ([`failure`]): the status codes unreachable
+//!   instances answer with and whether a failed delivery is retried.
 //!
 //! The crate is deliberately free of networking and randomness: it is the
 //! deterministic heart that `fediscope-server` runs online and
@@ -30,6 +32,7 @@
 
 pub mod catalog;
 pub mod config;
+pub mod failure;
 pub mod id;
 pub mod model;
 pub mod mrf;

@@ -72,7 +72,9 @@ pub trait MrfPolicy: Send + Sync {
     /// byte-identical to its input (rejections and side effects are still
     /// allowed). The default is the conservative `true`; pure policies
     /// override it so [`MrfPipeline::filter_fast_ref`] can judge borrowed
-    /// activities without cloning.
+    /// activities without cloning. Only the default
+    /// [`judge_ref`](Self::judge_ref) reads it, so a policy that overrides
+    /// `judge_ref` has no use for it.
     fn rewrites_content(&self) -> bool {
         true
     }

@@ -25,10 +25,6 @@ impl MrfPolicy for NoOpPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
         RefVerdict::Pass
     }
@@ -50,10 +46,6 @@ impl MrfPolicy for DropPolicy {
             "drop_all",
             "DropPolicy drops every activity",
         ))
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
@@ -90,10 +82,6 @@ impl MrfPolicy for BlockPolicy {
             ));
         }
         PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
@@ -147,10 +135,6 @@ impl MrfPolicy for UserAllowListPolicy {
             }
         }
         PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {

@@ -34,10 +34,6 @@ impl MrfPolicy for AntiFollowbotPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
         if activity.kind == ActivityKind::Follow && ctx.actors.is_bot(&activity.actor) {
             RefVerdict::Reject(PolicyKind::AntiFollowbot)
@@ -108,10 +104,6 @@ impl MrfPolicy for AntiLinkSpamPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
         if let Some(post) = activity.note() {
             if post.has_links && ctx.actors.followers(&activity.actor) == Some(0) {
@@ -164,10 +156,6 @@ impl MrfPolicy for FollowBotPolicy {
             }
         }
         PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {

@@ -182,10 +182,6 @@ impl MrfPolicy for VocabularyPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
         if self.reject.contains(&activity.kind)
             || (!self.accept.is_empty() && !self.accept.contains(&activity.kind))
@@ -264,10 +260,6 @@ impl MrfPolicy for NoEmptyPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
         if ctx.is_local(activity.origin()) {
             if let Some(post) = activity.note() {
@@ -342,10 +334,6 @@ impl MrfPolicy for RejectNonPublicPolicy {
             }
         }
         PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {

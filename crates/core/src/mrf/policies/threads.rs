@@ -95,10 +95,6 @@ impl MrfPolicy for AntiHellthreadPolicy {
         PolicyVerdict::Pass(activity)
     }
 
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
     fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
         RefVerdict::Pass
     }
@@ -177,10 +173,6 @@ impl MrfPolicy for MentionPolicy {
             }
         }
         PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
     }
 
     fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {

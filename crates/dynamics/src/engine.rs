@@ -54,9 +54,8 @@ use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
 use crate::sink::EventSink;
 use crate::state::{NetworkState, RetryPolicy, SharedColumns};
-use fediscope_simnet::FailureClass;
-
 use crate::trace::{DynamicsTrace, TickTrace};
+use fediscope_core::failure::{FailureClass, FailureMode};
 use fediscope_core::mrf::{NullActorDirectory, PolicyContext, PolicyVerdict, RefVerdict};
 use fediscope_core::time::{SimDuration, SimTime, CAMPAIGN_START, SNAPSHOT_INTERVAL};
 use fediscope_perspective::Scorer;
@@ -204,7 +203,7 @@ impl EngineBuilder {
     /// Stamps out a fresh engine: new state, no sink, tick 0. The
     /// state's `Arc` columns alias the builder's [`SharedColumns`].
     pub fn build(&self) -> DynamicsEngine {
-        DynamicsEngine::assemble(
+        DynamicsEngine::from_state(
             self.config.clone(),
             NetworkState::from_seeds_shared(&self.seeds, &self.columns),
         )
@@ -237,21 +236,16 @@ pub struct DynamicsEngine {
 impl DynamicsEngine {
     /// Builds an engine over the seeded network.
     pub fn new(config: DynamicsConfig, seeds: &ScenarioSeeds) -> Self {
-        DynamicsEngine::assemble(config, NetworkState::from_seeds(seeds))
+        DynamicsEngine::from_state(config, NetworkState::from_seeds(seeds))
     }
 
-    /// Builds an engine over an explicitly constructed state — the hook
-    /// the differential tests and benches use to run the engine over
+    /// Builds an engine over an explicitly constructed state: wires it to
+    /// a fresh queue, scorer and clock. Every constructor funnels through
+    /// here ([`Self::new`] and [`EngineBuilder::build`]); it is also the
+    /// hook the differential tests and benches use to run the engine over
     /// [`NetworkState::from_seeds_reference`] (or a pre-shared state)
     /// without going through the interned default path.
     pub fn from_state(config: DynamicsConfig, state: NetworkState) -> Self {
-        DynamicsEngine::assemble(config, state)
-    }
-
-    /// The one assembly path every constructor funnels through
-    /// ([`Self::new`] and [`EngineBuilder::build`]): wires a built state
-    /// to a fresh queue, scorer and clock.
-    fn assemble(config: DynamicsConfig, state: NetworkState) -> Self {
         DynamicsEngine {
             config,
             state,
@@ -286,11 +280,6 @@ impl DynamicsEngine {
         self.sink = Some(sink);
     }
 
-    /// Detaches the sink, returning it (e.g. to read bridge counters).
-    pub fn detach_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
     /// Applies one event; returns whether it changed state (the
     /// propagation gate scenarios key their follow-up scheduling on).
     /// `now` is the event's fire time — the origin every follow-up the
@@ -311,9 +300,7 @@ impl DynamicsEngine {
                 }
                 applied
             }
-            Event::Recover { instance } => self
-                .state
-                .set_failure(*instance, fediscope_simnet::FailureMode::Healthy),
+            Event::Recover { instance } => self.state.set_failure(*instance, FailureMode::Healthy),
             Event::SetRate { instance, rate } => self.state.set_rate(*instance, *rate),
             Event::RetryDelivery {
                 sender,

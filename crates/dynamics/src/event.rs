@@ -17,9 +17,9 @@
 //! mid-drain (a zero-delay follow-up) stays correct because every pop
 //! re-reads the first bucket.
 
+use fediscope_core::failure::FailureMode;
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::SimTime;
-use fediscope_simnet::FailureMode;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 

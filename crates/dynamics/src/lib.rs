@@ -34,7 +34,7 @@
 //!   deterministic per-sub RNG stream splitting;
 //! * [`EventSink`] — the one-way hook through which the root crate's
 //!   `fediscope::census::LiveNetBridge` mirrors `GoDown`/`Recover` onto
-//!   a shared [`fediscope_simnet::SimNet`] and tears follow edges down,
+//!   a shared `fediscope_simnet::SimNet` and tears follow edges down,
 //!   so the §3 crawler can census a *churning* network mid-scenario;
 //!   [`CensusCadence`] paces those censuses and [`CensusSnapshot`]
 //!   records each one;

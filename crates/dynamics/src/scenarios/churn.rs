@@ -12,8 +12,8 @@
 use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
 use crate::state::NetworkState;
+use fediscope_core::failure::FailureMode;
 use fediscope_core::time::{SimDuration, SimTime};
-use fediscope_simnet::FailureMode;
 use rand::rngs::SmallRng;
 use rand::Rng;
 

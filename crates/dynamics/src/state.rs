@@ -9,13 +9,13 @@
 use crate::trace::failure_mix_index;
 use fediscope_core::catalog::PolicyKind;
 use fediscope_core::config::{InstanceModerationConfig, PipelinePool};
+use fediscope_core::failure::{FailureClass, FailureMode};
 use fediscope_core::id::{Domain, PostId, UserId, UserRef};
 use fediscope_core::model::{Activity, Post};
 use fediscope_core::mrf::policies::SimpleAction;
 use fediscope_core::mrf::MrfPipeline;
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::{SimDuration, CAMPAIGN_START};
-use fediscope_simnet::{FailureClass, FailureMode};
 use fediscope_synthgen::ScenarioSeeds;
 use fediscope_telemetry::{HotCounter, Telemetry};
 use std::collections::HashMap;

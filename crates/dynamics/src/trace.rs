@@ -6,8 +6,8 @@
 //! every field (floats by bit pattern) into one `u64` so tests and
 //! benches can compare whole runs cheaply.
 
+use fediscope_core::failure::FailureMode;
 use fediscope_core::time::SimTime;
-use fediscope_simnet::FailureMode;
 use serde::Serialize;
 
 /// Everything measured in one tick.

@@ -21,24 +21,15 @@
 //! `fediscope-synthgen` author text that *measures* at a chosen score, the
 //! same way real toxic communities produced high-scoring content for the
 //! paper's crawl.
-//!
-//! [`PerspectiveClient`] wraps the scorer behind the AnalyzeComment-style
-//! request/response types and simulates client-side QPS limiting, so the
-//! annotation pipeline code looks exactly like code talking to the real
-//! service.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod api;
-mod client;
 mod lexicon;
 pub mod reference;
 mod scorer;
 mod unified;
 
-pub use api::{AnalyzeCommentRequest, AnalyzeCommentResponse, AttributeScore};
-pub use client::{ClientStats, PerspectiveClient};
 pub use lexicon::{lexicon_for, Lexicon, BENIGN_WORDS, LEXICONS};
 pub use scorer::{Attribute, AttributeScores, Scorer};
 pub use unified::{UnifiedLexicon, WeightRow};

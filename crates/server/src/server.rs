@@ -4,7 +4,7 @@ use fediscope_activitypub::{FollowGraph, Inbox, Outbox, Timelines};
 use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
-use fediscope_core::mrf::{ActorDirectory, FilterOutcome, MrfPipeline, PolicyContext, SideEffect};
+use fediscope_core::mrf::{ActorDirectory, FilterOutcome, MrfPipeline, PolicyContext};
 use fediscope_core::time::{SimDuration, SimTime};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -50,7 +50,6 @@ struct State {
     outbox: Outbox,
     clock: SimTime,
     next_activity: u64,
-    effect_log: Vec<SideEffect>,
 }
 
 /// A simulated instance server (Pleroma or Mastodon, per its profile).
@@ -78,7 +77,6 @@ impl InstanceServer {
                 outbox: Outbox::new(),
                 clock: fediscope_core::time::CAMPAIGN_START,
                 next_activity: 1,
-                effect_log: Vec::new(),
             }),
             stats: ServerStats::default(),
         }
@@ -297,7 +295,7 @@ impl InstanceServer {
 
     /// Shared setup and accounting around one pipeline invocation: snap a
     /// directory view, build the policy context, run `invoke`, then drain
-    /// its side effects into the stats counter and effect log. `publish`
+    /// its side effects into the stats counter. `publish`
     /// (untraced) and `ingest_remote` (traced) differ only in the `invoke`
     /// they pass, so any future context or accounting change lands in both.
     fn with_pipeline<R>(
@@ -317,7 +315,6 @@ impl InstanceServer {
         self.stats
             .effects
             .fetch_add(effects.len() as u64, Ordering::Relaxed);
-        st.effect_log.extend(effects);
         out
     }
 
@@ -351,11 +348,6 @@ impl InstanceServer {
         }
     }
 
-    /// Side effects the pipeline has emitted so far (drained).
-    pub fn drain_effects(&self) -> Vec<SideEffect> {
-        std::mem::take(&mut self.state.write().effect_log)
-    }
-
     /// Read access to the timelines (for the API layer and tests).
     pub fn with_timelines<R>(&self, f: impl FnOnce(&Timelines) -> R) -> R {
         f(&self.state.read().timelines)
@@ -366,19 +358,9 @@ impl InstanceServer {
         f(&self.state.read().graph)
     }
 
-    /// Read access to the inbox (tests).
-    pub fn with_inbox<R>(&self, f: impl FnOnce(&Inbox) -> R) -> R {
-        f(&self.state.read().inbox)
-    }
-
     /// Read access to the outbox (tests).
     pub fn with_outbox<R>(&self, f: impl FnOnce(&Outbox) -> R) -> R {
         f(&self.state.read().outbox)
-    }
-
-    /// Iterates local users (snapshot).
-    pub fn users_snapshot(&self) -> Vec<User> {
-        self.state.read().users.values().cloned().collect()
     }
 
     /// Applies an MRF tag to a local user (admin action; `TagPolicy`).

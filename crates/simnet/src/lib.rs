@@ -14,10 +14,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod failure;
 mod http;
 mod net;
 
-pub use failure::{FailureClass, FailureMode};
-pub use http::{HttpRequest, HttpResponse, Method, StatusCode};
+pub use fediscope_core::failure::{FailureClass, FailureMode, StatusCode};
+pub use http::{HttpRequest, HttpResponse, Method};
 pub use net::{Endpoint, FailureTaxonomy, FnEndpoint, NetError, NetStats, SimNet};

@@ -1,7 +1,7 @@
 //! The network fabric: registration, dispatch, failure injection, stats.
 
-use crate::failure::{FailureClass, FailureMode};
-use crate::http::{HttpRequest, HttpResponse, StatusCode};
+use crate::http::{HttpRequest, HttpResponse};
+use fediscope_core::failure::{FailureClass, FailureMode, StatusCode};
 use fediscope_core::id::Domain;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
@@ -361,7 +361,6 @@ impl SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::StatusCode;
     use serde_json::json;
 
     fn hello_endpoint() -> Arc<dyn Endpoint> {

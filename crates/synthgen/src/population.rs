@@ -2,11 +2,11 @@
 
 use crate::config::WorldConfig;
 use crate::names;
+use fediscope_core::failure::FailureMode;
 use fediscope_core::id::{Domain, InstanceId};
 use fediscope_core::model::{InstanceKind, InstanceProfile, SoftwareVersion};
 use fediscope_core::paper;
 use fediscope_core::time::{SimTime, CAMPAIGN_START};
-use fediscope_simnet::FailureMode;
 use rand::Rng;
 
 /// The skeleton of an instance before users/posts are generated.

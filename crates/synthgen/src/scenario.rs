@@ -23,9 +23,9 @@
 use crate::config::WorldConfig;
 use crate::world::{GeneratedInstance, GeneratedUser, World, WorldSink};
 use fediscope_core::config::InstanceModerationConfig;
+use fediscope_core::failure::FailureMode;
 use fediscope_core::id::Domain;
 use fediscope_core::mrf::policies::SimpleAction;
-use fediscope_simnet::FailureMode;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -8,12 +8,12 @@ use crate::moderation::{self, ModerationPlan};
 use crate::population::{self, InstanceSkeleton};
 use fediscope_core::catalog::PolicyKind;
 use fediscope_core::config::InstanceModerationConfig;
+use fediscope_core::failure::FailureMode;
 use fediscope_core::id::{Domain, InstanceId, PostId, UserId, UserRef};
 use fediscope_core::model::{InstanceProfile, MediaAttachment, MediaKind, Post, User, Visibility};
 use fediscope_core::mrf::policies::SimplePolicy;
 use fediscope_core::paper;
 use fediscope_core::time::{CAMPAIGN_END, CAMPAIGN_START};
-use fediscope_simnet::FailureMode;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;

@@ -173,7 +173,12 @@ where
 
 /// Runs `work` over `iter`'s index range, with the schedule `iter` asks
 /// for: static chunks by default, claimed pieces under `with_max_len`.
-/// Outputs come back in index order either way.
+/// Outputs come back in index order either way. The default path keeps
+/// its own runner, which pins the last chunk to the calling thread:
+/// claiming the same chunks through `run_pieces` changed which thread
+/// ran which chunk, and with it peak RSS through the allocator's
+/// per-thread arenas (perfbench on a 2-vCPU Xeon: experiment +21 %,
+/// campaign −22 %).
 fn drive<P, T, F>(iter: &P, work: F) -> Vec<T>
 where
     P: ParallelIterator,
@@ -675,6 +680,24 @@ mod tests {
             .map(|x| x * 2)
             .collect_vec();
         assert_eq!(doubled, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "rayon shim worker panicked")]
+    fn default_path_worker_panic_propagates() {
+        let _knob = threads(2);
+        let caller = std::thread::current().id();
+        // Two items, two workers: one chunk each. Neither chunk finishes
+        // until both have started, so a spawned worker holds one.
+        let both_started = std::sync::Barrier::new(2);
+        (0..2).into_par_iter().for_each(|_| {
+            both_started.wait();
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "chunk failed on a spawned worker"
+            );
+        });
     }
 
     #[test]
