@@ -2,10 +2,19 @@
 //!
 //! The shim keeps serde's public shape — `Serialize` / `Deserialize`
 //! traits generic over `Serializer` / `Deserializer`, plus derive macros —
-//! but collapses the data model to a self-describing [`content::Content`]
-//! tree. Every serializer in the workspace (only `serde_json`) is
-//! tree-based anyway, so the simplification is observationally equivalent
-//! for our types while staying drop-in replaceable by the real crate.
+//! so it stays drop-in replaceable by the real crate.
+//!
+//! Deserialization is one pass: [`de`] is a trimmed subset of serde's
+//! visitor model (`deserialize_any/option/seq/map/struct/enum` driving a
+//! `Visitor` through `SeqAccess` / `MapAccess` / `EnumAccess`), and the
+//! derive builds each type straight from its input, with no intermediate
+//! tree. The self-describing [`content::Content`] tree (`serde_json::Value`)
+//! is one more `Deserializer` and `Deserialize` target.
+//!
+//! Serialization still goes through the tree: every `Serialize` impl
+//! produces a `Content`, which `serde_json` then renders. The only
+//! serializer in the workspace is JSON output, written once per run, so
+//! the tree costs little there.
 
 pub mod content;
 pub mod de;
@@ -18,7 +27,7 @@ pub use serde_derive::{Deserialize, Serialize};
 /// Private helpers referenced by `serde_derive`-generated code.
 #[doc(hidden)]
 pub mod __private {
-    pub use crate::content::{Content, Map, Number};
-    pub use crate::de::{from_content, Error as DeError};
+    pub use crate::content::{Content, Map};
+    pub use crate::de::{missing_field, FieldSeed, IgnoredAny, VariantSeed};
     pub use crate::ser::to_content;
 }

@@ -5,6 +5,10 @@
 //! named-field structs, tuple structs (serde newtype semantics for a
 //! single field), unit structs, and externally-tagged enums with unit,
 //! newtype, tuple and struct variants. Generics are not supported.
+//!
+//! `Serialize` impls build the serde shim's `Content` tree. `Deserialize`
+//! impls are visitors over the shim's `Deserializer`, so a type is read
+//! straight from its input in one pass.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -296,6 +300,15 @@ fn serialize_variant_arm(enum_name: &str, v: &Variant) -> String {
 }
 
 // ---------------------------------------------------------- deserialize --
+//
+// The generated impls drive the serde shim's visitor model: a struct
+// reads its fields from `MapAccess` (keys matched by position in a
+// `FIELDS` list, unknown keys skipped, a repeated key keeping its last
+// value, a missing one read as `null`), a tuple struct from `SeqAccess`,
+// an enum through `EnumAccess`. Field types are left to inference.
+
+const RESULT: &str = "::core::result::Result";
+const OPTION: &str = "::core::option::Option";
 
 fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
@@ -304,115 +317,172 @@ fn gen_deserialize(item: &Item) -> String {
     };
     format!(
         "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-         fn deserialize<D: ::serde::Deserializer<'de>>(deserializer: D) \
-         -> ::core::result::Result<Self, D::Error> {{\n\
-         let content = deserializer.take_content()?;\n{body}\n}}\n}}"
+         fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
+         -> {RESULT}<Self, __D::Error> {{\n{body}\n}}\n}}"
     )
 }
 
-fn named_fields_ctor(path: &str, names: &[String], map_var: &str) -> String {
-    let mut fields = String::new();
-    for n in names {
-        fields.push_str(&format!(
-            "{n}: ::serde::__private::from_content({map_var}.remove(\"{n}\")\
-             .unwrap_or(::serde::__private::Content::Null))?,\n"
-        ));
-    }
-    format!("::core::result::Result::Ok({path} {{ {fields} }})")
+fn str_list(names: &[String]) -> String {
+    let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+    format!("&[{}]", quoted.join(", "))
 }
 
-fn tuple_fields_ctor(path: &str, n: usize, vec_var: &str) -> String {
-    let mut args = Vec::new();
-    for _ in 0..n {
-        args.push(format!(
-            "::serde::__private::from_content({vec_var}.next()\
-             .unwrap_or(::serde::__private::Content::Null))?"
+/// A unit struct `visitor` whose `Visitor` impl produces `path_ty`
+/// through the one `visit_*` method given.
+fn visitor_item(visitor: &str, path_ty: &str, expecting: &str, method: &str) -> String {
+    format!(
+        "struct {visitor};\n\
+         impl<'de> ::serde::de::Visitor<'de> for {visitor} {{\n\
+         type Value = {path_ty};\n\
+         fn expecting(&self, __f: &mut ::core::fmt::Formatter<'_>) -> ::core::fmt::Result {{\n\
+         __f.write_str(\"{expecting}\")\n}}\n{method}\n}}\n"
+    )
+}
+
+/// `visit_map` building `path { names… }`, matching keys against the
+/// constant `fields`.
+fn visit_map_named(path: &str, path_ty: &str, names: &[String], fields: &str) -> String {
+    let mut decls = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, n) in names.iter().enumerate() {
+        decls.push_str(&format!("let mut __f{i} = {OPTION}::None;\n"));
+        arms.push_str(&format!(
+            "{OPTION}::Some({i}) => __f{i} = {OPTION}::Some(\
+             ::serde::de::MapAccess::next_value(&mut __map)?),\n"
+        ));
+        inits.push_str(&format!(
+            "{n}: match __f{i} {{ {OPTION}::Some(__v) => __v, \
+             {OPTION}::None => ::serde::__private::missing_field::<_, __A::Error>()? }},\n"
         ));
     }
-    format!("::core::result::Result::Ok({path}({}))", args.join(", "))
+    format!(
+        "fn visit_map<__A: ::serde::de::MapAccess<'de>>(self, mut __map: __A) \
+         -> {RESULT}<{path_ty}, __A::Error> {{\n{decls}\
+         while let {OPTION}::Some(__key) = ::serde::de::MapAccess::next_key_seed(\
+         &mut __map, ::serde::__private::FieldSeed({fields}))? {{\n\
+         match __key {{\n{arms}\
+         _ => {{ ::serde::de::MapAccess::next_value::<::serde::__private::IgnoredAny>(&mut __map)?; }}\n\
+         }}\n}}\n\
+         {RESULT}::Ok({path} {{ {inits} }})\n}}"
+    )
+}
+
+/// `visit_seq` building `path(…)` from `n` elements; a missing element
+/// reads as `null` and extra elements are skipped.
+fn visit_seq_tuple(path: &str, path_ty: &str, n: usize) -> String {
+    let mut lets = String::new();
+    let mut args = Vec::new();
+    for i in 0..n {
+        lets.push_str(&format!(
+            "let __f{i} = match ::serde::de::SeqAccess::next_element(&mut __seq)? {{ \
+             {OPTION}::Some(__v) => __v, \
+             {OPTION}::None => ::serde::__private::missing_field::<_, __A::Error>()? }};\n"
+        ));
+        args.push(format!("__f{i}"));
+    }
+    format!(
+        "fn visit_seq<__A: ::serde::de::SeqAccess<'de>>(self, mut __seq: __A) \
+         -> {RESULT}<{path_ty}, __A::Error> {{\n{lets}\
+         while let {OPTION}::Some(::serde::__private::IgnoredAny) = \
+         ::serde::de::SeqAccess::next_element(&mut __seq)? {{}}\n\
+         {RESULT}::Ok({path}({}))\n}}",
+        args.join(", ")
+    )
 }
 
 fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
     match fields {
-        Fields::Unit => format!("let _ = content; ::core::result::Result::Ok({name})"),
-        Fields::Named(names) => format!(
-            "let mut map = match content {{\n\
-             ::serde::__private::Content::Object(m) => m,\n\
-             other => return ::core::result::Result::Err(\
-             <D::Error as ::serde::de::Error>::custom(\
-             format!(\"expected object for struct {name}, found {{other:?}}\"))),\n}};\n{}",
-            named_fields_ctor(name, names, "map")
+        Fields::Unit => format!(
+            "<::serde::__private::IgnoredAny as ::serde::Deserialize>::deserialize(__deserializer)?;\n\
+             {RESULT}::Ok({name})"
         ),
         Fields::Tuple(1) => format!(
-            "::core::result::Result::Ok({name}(::serde::__private::from_content(content)?))"
+            "{RESULT}::Ok({name}(::serde::Deserialize::deserialize(__deserializer)?))"
         ),
         Fields::Tuple(n) => format!(
-            "let mut items = match content {{\n\
-             ::serde::__private::Content::Array(a) => a.into_iter(),\n\
-             other => return ::core::result::Result::Err(\
-             <D::Error as ::serde::de::Error>::custom(\
-             format!(\"expected array for struct {name}, found {{other:?}}\"))),\n}};\n{}",
-            tuple_fields_ctor(name, *n, "items")
+            "{}::serde::Deserializer::deserialize_seq(__deserializer, __Visitor)",
+            visitor_item(
+                "__Visitor",
+                name,
+                &format!("array for struct {name}"),
+                &visit_seq_tuple(name, name, *n)
+            )
+        ),
+        Fields::Named(names) => format!(
+            "const FIELDS: &[&str] = {};\n{}\
+             ::serde::Deserializer::deserialize_struct(__deserializer, \"{name}\", FIELDS, __Visitor)",
+            str_list(names),
+            visitor_item(
+                "__Visitor",
+                name,
+                &format!("object for struct {name}"),
+                &visit_map_named(name, name, names, "FIELDS")
+            )
         ),
     }
 }
 
 fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
-    let mut unit_arms = String::new();
-    let mut payload_arms = String::new();
-    for v in variants {
+    let mut items = String::new();
+    let mut arms = String::new();
+    for (i, v) in variants.iter().enumerate() {
         let vname = &v.name;
-        match &v.fields {
-            Fields::Unit => {
-                unit_arms.push_str(&format!(
-                    "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}),\n"
+        let path = format!("{name}::{vname}");
+        let arm = match &v.fields {
+            Fields::Unit => format!(
+                "{{ ::serde::de::VariantAccess::unit_variant(__variant)?; {RESULT}::Ok({path}) }}"
+            ),
+            Fields::Tuple(1) => format!(
+                "{RESULT}::Ok({path}(::serde::de::VariantAccess::newtype_variant(__variant)?))"
+            ),
+            Fields::Tuple(n) => {
+                items.push_str(&visitor_item(
+                    &format!("__Visitor{i}"),
+                    name,
+                    &format!("array payload for {path}"),
+                    &visit_seq_tuple(&path, name, *n),
                 ));
-                // Tolerate the {"Variant": null} spelling, too.
-                payload_arms.push_str(&format!(
-                    "\"{vname}\" => {{ let _ = value; \
-                     ::core::result::Result::Ok({name}::{vname}) }},\n"
-                ));
+                format!("::serde::de::VariantAccess::tuple_variant(__variant, {n}, __Visitor{i})")
             }
-            Fields::Tuple(1) => payload_arms.push_str(&format!(
-                "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}(\
-                 ::serde::__private::from_content(value)?)),\n"
-            )),
-            Fields::Tuple(n) => payload_arms.push_str(&format!(
-                "\"{vname}\" => {{\n\
-                 let mut items = match value {{\n\
-                 ::serde::__private::Content::Array(a) => a.into_iter(),\n\
-                 other => return ::core::result::Result::Err(\
-                 <D::Error as ::serde::de::Error>::custom(\
-                 format!(\"expected array payload for {name}::{vname}, found {{other:?}}\"))),\n}};\n{}\n}},\n",
-                tuple_fields_ctor(&format!("{name}::{vname}"), *n, "items")
-            )),
-            Fields::Named(names) => payload_arms.push_str(&format!(
-                "\"{vname}\" => {{\n\
-                 let mut map = match value {{\n\
-                 ::serde::__private::Content::Object(m) => m,\n\
-                 other => return ::core::result::Result::Err(\
-                 <D::Error as ::serde::de::Error>::custom(\
-                 format!(\"expected object payload for {name}::{vname}, found {{other:?}}\"))),\n}};\n{}\n}},\n",
-                named_fields_ctor(&format!("{name}::{vname}"), names, "map")
-            )),
-        }
+            Fields::Named(names) => {
+                items.push_str(&format!(
+                    "const __FIELDS{i}: &[&str] = {};\n",
+                    str_list(names)
+                ));
+                items.push_str(&visitor_item(
+                    &format!("__Visitor{i}"),
+                    name,
+                    &format!("object payload for {path}"),
+                    &visit_map_named(&path, name, names, &format!("__FIELDS{i}")),
+                ));
+                format!(
+                    "::serde::de::VariantAccess::struct_variant(__variant, __FIELDS{i}, __Visitor{i})"
+                )
+            }
+        };
+        arms.push_str(&format!("{i} => {arm},\n"));
     }
+    let names: Vec<String> = variants.iter().map(|v| v.name.clone()).collect();
+    let visit_enum = format!(
+        "fn visit_enum<__A: ::serde::de::EnumAccess<'de>>(self, __data: __A) \
+         -> {RESULT}<{name}, __A::Error> {{\n\
+         let (__tag, __variant) = ::serde::de::EnumAccess::variant_seed(__data, \
+         ::serde::__private::VariantSeed {{ name: \"{name}\", variants: VARIANTS }})?;\n\
+         match __tag {{\n{arms}\
+         _ => {RESULT}::Err(<__A::Error as ::serde::de::Error>::custom(\
+         \"variant index out of range for enum {name}\")),\n}}\n}}"
+    );
     format!(
-        "match content {{\n\
-         ::serde::__private::Content::String(s) => match s.as_str() {{\n{unit_arms}\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"unknown {name} variant {{other:?}}\"))),\n}},\n\
-         ::serde::__private::Content::Object(m) => {{\n\
-         let mut it = m.into_iter();\n\
-         let (key, value) = match it.next() {{\n\
-         Some(kv) => kv,\n\
-         None => return ::core::result::Result::Err(\
-         <D::Error as ::serde::de::Error>::custom(\"empty object for enum {name}\")),\n}};\n\
-         match key.as_str() {{\n{payload_arms}\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"unknown {name} variant {{other:?}}\"))),\n}}\n}},\n\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"expected string or object for enum {name}, found {{other:?}}\"))),\n}}"
+        "const VARIANTS: &[&str] = {};\n{items}{}\
+         ::serde::Deserializer::deserialize_enum(__deserializer, \"{name}\", VARIANTS, __Visitor)",
+        str_list(&names),
+        visitor_item(
+            "__Visitor",
+            name,
+            &format!("string or object for enum {name}"),
+            &visit_enum
+        )
     )
 }
 

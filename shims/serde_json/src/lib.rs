@@ -1,6 +1,14 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`Value`] (re-exported from the serde shim's content tree), the
 //! [`json!`] macro, string/byte (de)serialization, and value conversion.
+//!
+//! Reading is one pass: the JSON parser is a `serde::Deserializer`, so
+//! [`from_str`] builds the target type straight from the text — a
+//! `Value` only when `Value` is what was asked for. Nesting deeper than
+//! 127 arrays/objects is an error, as in serde_json, not a stack
+//! overflow. Parse errors name the byte offset they stopped at.
+//! [`from_value`] reads the same types out of a `Value`. Writing goes
+//! through the tree: a value is serialized to a `Value`, then rendered.
 
 mod parse;
 
@@ -12,11 +20,34 @@ use std::fmt::{self, Display};
 
 /// Errors from (de)serialization or parsing.
 #[derive(Debug)]
-pub struct Error(String);
+pub struct Error {
+    msg: String,
+    /// Byte offset into the JSON text, for errors met while reading it.
+    offset: Option<usize>,
+}
+
+impl Error {
+    fn custom_at(msg: &str, offset: usize) -> Error {
+        Error {
+            msg: msg.to_owned(),
+            offset: Some(offset),
+        }
+    }
+
+    /// Stamps the reader's position on an error raised without one.
+    fn at(mut self, offset: usize) -> Error {
+        self.offset.get_or_insert(offset);
+        self
+    }
+}
 
 impl Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.msg)?;
+        match self.offset {
+            Some(offset) => write!(f, " at offset {offset}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -24,13 +55,16 @@ impl std::error::Error for Error {}
 
 impl DeErrorTrait for Error {
     fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
+        Error {
+            msg: msg.to_string(),
+            offset: None,
+        }
     }
 }
 
 impl SerErrorTrait for Error {
     fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
+        <Error as DeErrorTrait>::custom(msg)
     }
 }
 
@@ -44,23 +78,24 @@ pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
 
 /// Deserializes a value out of a tree.
 pub fn from_value<T: serde::de::DeserializeOwned>(value: Value) -> Result<T> {
-    serde::de::from_content(value)
+    T::deserialize(serde::de::ContentDeserializer::new(value))
+}
+
+fn render(value: &Value, indent: Option<usize>) -> Result<String> {
+    let mut out = String::new();
+    serde::content::write_json(value, &mut out, indent, 0)
+        .map_err(<Error as SerErrorTrait>::custom)?;
+    Ok(out)
 }
 
 /// Renders a value as compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    serde::content::write_json(&serde::ser::to_content(value), &mut out, None, 0)
-        .map_err(|e| Error(e.to_string()))?;
-    Ok(out)
+    render(&serde::ser::to_content(value), None)
 }
 
 /// Renders a value as two-space-indented JSON.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    serde::content::write_json(&serde::ser::to_content(value), &mut out, Some(2), 0)
-        .map_err(|e| Error(e.to_string()))?;
-    Ok(out)
+    render(&serde::ser::to_content(value), Some(2))
 }
 
 /// Renders a value as compact JSON bytes.
@@ -70,13 +105,13 @@ pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>> {
 
 /// Parses JSON text into any deserializable value.
 pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T> {
-    let value = parse::parse(s)?;
-    from_value(value)
+    parse::from_str(s)
 }
 
 /// Parses JSON bytes into any deserializable value.
 pub fn from_slice<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
+    let s = std::str::from_utf8(bytes)
+        .map_err(|e| <Error as DeErrorTrait>::custom(format_args!("invalid utf-8: {e}")))?;
     from_str(s)
 }
 
@@ -254,6 +289,23 @@ mod tests {
         assert!(s.contains('\n'));
         let back: Value = from_str(&s).unwrap();
         assert_eq!(back["a"], 1);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let e = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e.to_string(), "recursion limit exceeded at offset 127");
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(127)).is_ok());
+        assert!(from_str::<Value>(&nested(128)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(100_000), "}".repeat(100_000));
+        let e = from_str::<Value>(&objects).unwrap_err();
+        assert!(e.to_string().starts_with("recursion limit exceeded"), "{e}");
+        // Skipped values count too.
+        let e = from_str::<serde::de::IgnoredAny>(&"[{\"k\":".repeat(50_000)).unwrap_err();
+        assert!(e.to_string().starts_with("recursion limit exceeded"), "{e}");
+        let e = from_slice::<Vec<Value>>(&[b'['; 100_000]).unwrap_err();
+        assert!(e.to_string().starts_with("recursion limit exceeded"), "{e}");
     }
 
     #[test]
