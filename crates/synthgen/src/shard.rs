@@ -18,8 +18,8 @@
 //! world). `ScenarioSeeds::from_shards` builds a full seed extract from
 //! a shard directory — generate once with [`write_shard_dir`], then
 //! start engines from disk. At paper scale (`--scale 1.0`: 9,969 records,
-//! a 148 MB `world.ndjson`) the reload takes about 0.7 s on a 2-vCPU
-//! Xeon, parsing each record in one pass.
+//! a 148 MB `world.ndjson`) the reload took 0.84 s on a 2-vCPU Xeon
+//! (`synthgen.shard_read_s`), parsing each record in one pass.
 
 use crate::config::WorldConfig;
 use crate::world::{GeneratedInstance, ShardWriter, World, WorldSink};

@@ -6,7 +6,7 @@
 //! [`from_str`] builds the target type straight from the text — a
 //! `Value` only when `Value` is what was asked for. Nesting deeper than
 //! 127 arrays/objects is an error, as in serde_json, not a stack
-//! overflow. Parse errors name the byte offset they stopped at.
+//! overflow. Syntax errors name the byte offset they stopped at.
 //! [`from_value`] reads the same types out of a `Value`. Writing goes
 //! through the tree: a value is serialized to a `Value`, then rendered.
 
@@ -20,34 +20,11 @@ use std::fmt::{self, Display};
 
 /// Errors from (de)serialization or parsing.
 #[derive(Debug)]
-pub struct Error {
-    msg: String,
-    /// Byte offset into the JSON text, for errors met while reading it.
-    offset: Option<usize>,
-}
-
-impl Error {
-    fn custom_at(msg: &str, offset: usize) -> Error {
-        Error {
-            msg: msg.to_owned(),
-            offset: Some(offset),
-        }
-    }
-
-    /// Stamps the reader's position on an error raised without one.
-    fn at(mut self, offset: usize) -> Error {
-        self.offset.get_or_insert(offset);
-        self
-    }
-}
+pub struct Error(String);
 
 impl Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)?;
-        match self.offset {
-            Some(offset) => write!(f, " at offset {offset}"),
-            None => Ok(()),
-        }
+        f.write_str(&self.0)
     }
 }
 
@@ -55,16 +32,13 @@ impl std::error::Error for Error {}
 
 impl DeErrorTrait for Error {
     fn custom<T: Display>(msg: T) -> Self {
-        Error {
-            msg: msg.to_string(),
-            offset: None,
-        }
+        Error(msg.to_string())
     }
 }
 
 impl SerErrorTrait for Error {
     fn custom<T: Display>(msg: T) -> Self {
-        <Error as DeErrorTrait>::custom(msg)
+        Error(msg.to_string())
     }
 }
 

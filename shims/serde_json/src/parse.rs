@@ -19,10 +19,10 @@ pub fn from_str<'de, T: Deserialize<'de>>(input: &'de str) -> Result<T, Error> {
         remaining_depth: RECURSION_LIMIT,
         scratch: String::new(),
     };
-    let value = T::deserialize(&mut p).map_err(|e| e.at(p.pos))?;
+    let value = T::deserialize(&mut p)?;
     p.skip_ws();
     if p.pos != p.src.len() {
-        return Err(Error::custom_at("trailing characters", p.pos));
+        return Err(p.err("trailing characters"));
     }
     Ok(value)
 }
@@ -36,7 +36,7 @@ struct Parser<'de> {
 
 impl<'de> Parser<'de> {
     fn err(&self, msg: &str) -> Error {
-        Error::custom_at(msg, self.pos)
+        Error(format!("{msg} at offset {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -215,13 +215,6 @@ impl<'de> Parser<'de> {
             digits(self);
         }
         let text = &self.src[start..self.pos];
-        // Up to 19 digits always fit a u64: skip the generic parse.
-        if !is_float && text.len() <= 19 && !text.starts_with('-') {
-            let u = text
-                .bytes()
-                .fold(0u64, |acc, d| acc * 10 + u64::from(d - b'0'));
-            return visitor.visit_u64(u);
-        }
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return visitor.visit_u64(u);
@@ -248,29 +241,9 @@ impl<'de> Parser<'de> {
     }
 }
 
-/// Position of the first `"` or `\\` in `bytes`, eight bytes at a time:
-/// a byte equal to the target makes its lane of `word ^ target` zero,
-/// and `(x - 0x01…) & !x & 0x80…` flags the lowest zero lane exactly.
+/// Position of the first `"` or `\\` in `bytes`.
 fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    let zero_lane = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
-    let mut chunks = bytes.chunks_exact(8);
-    for (i, chunk) in chunks.by_ref().enumerate() {
-        let mut lanes = [0u8; 8];
-        lanes.copy_from_slice(chunk);
-        let word = u64::from_le_bytes(lanes);
-        let hits = zero_lane(word ^ (ONES * u64::from(b'"')))
-            | zero_lane(word ^ (ONES * u64::from(b'\\')));
-        if hits != 0 {
-            return Some(i * 8 + (hits.trailing_zeros() / 8) as usize);
-        }
-    }
-    let tail = chunks.remainder();
-    let done = bytes.len() - tail.len();
-    tail.iter()
-        .position(|&b| b == b'"' || b == b'\\')
-        .map(|n| done + n)
+    bytes.iter().position(|&b| b == b'"' || b == b'\\')
 }
 
 impl<'de> de::Deserializer<'de> for &mut Parser<'de> {

@@ -280,12 +280,13 @@ fn trailing_garbage_is_an_error() {
 }
 
 #[test]
-fn type_errors_name_the_offset_they_stopped_at() {
-    let e = rejects::<Named>(r#"{"id":"one"}"#);
-    assert_eq!(e, "expected u64, found string at offset 11");
-    let e = rejects::<Vec<bool>>("[true, 0]");
-    assert!(
-        e.starts_with("expected bool, found number at offset"),
-        "{e}"
-    );
+fn type_errors_read_the_same_from_text_and_tree() {
+    fn same<T: DeserializeOwned + Debug>(text: &str, expected: &str) {
+        let tree: Value = serde_json::from_str(text).expect("tree reads");
+        let from_tree = serde_json::from_value::<T>(tree).unwrap_err().to_string();
+        assert_eq!(rejects::<T>(text), expected, "from_str of {text}");
+        assert_eq!(from_tree, expected, "from_value of {text}");
+    }
+    same::<Named>(r#"{"id":"one"}"#, "expected u64, found string");
+    same::<Vec<bool>>("[true, 0]", "expected bool, found number");
 }
